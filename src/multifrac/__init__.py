@@ -25,9 +25,14 @@ from .split import (
 from .transforms import WordStep, apply_word_step, search_empty_word, special_neighbors
 from .dihedral import Dihedral, FractionPair, padding_bound
 from .solver import PaddingStrategy, Verdict, decide, verdict_json
-from ._kernels import kernel_backend
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the congruence-closure kernel in use; there is only the pure-Python one."""
+    return "python"
+
 
 __all__ = [
     "ArtinPresentation",

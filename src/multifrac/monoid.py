@@ -23,10 +23,31 @@ from __future__ import annotations
 from .errors import BudgetExhausted, StructuralError
 from .presentation import ArtinPresentation
 from .reversing import DEFAULT_STEP_BUDGET, reverse_full
-from ._kernels import congruence_class
 from .words import SignedWord, signed_of_positive
 
 __all__ = ["Monoid", "MonoidElement"]
+
+
+def congruence_class(word: bytes, rules: tuple[tuple[bytes, bytes], ...]) -> frozenset:
+    """All words obtainable from `word` by applying rules at any position.
+
+    `rules` holds both orientations of every defining relation.  This is the
+    innermost loop of the package: element equality, divisibility, gcds and
+    divisor enumeration all reduce to word classes.
+    """
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for lhs, rhs in rules:
+            start = w.find(lhs)
+            while start >= 0:
+                u = w[:start] + rhs + w[start + len(lhs):]
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+                start = w.find(lhs, start + 1)
+    return frozenset(seen)
 
 
 class MonoidElement:
@@ -159,12 +180,12 @@ class Monoid:
         """
         self._check(x, y)
         if side == "left":
-            for w in sorted(self.class_of(y.key)):
+            for w in self.class_of(y.key):
                 if w.startswith(x.key):
                     return self.element(w[len(x.key):])
             return None
         if side == "right":
-            for w in sorted(self.class_of(y.key)):
+            for w in self.class_of(y.key):
                 if w.endswith(x.key):
                     return self.element(w[: len(w) - len(x.key)])
             return None

@@ -25,7 +25,7 @@ either way.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted
@@ -261,6 +261,49 @@ class SearchResult:
     reason: str | None = None
 
 
+def _search(start, key, successors, is_target, state_budget, priority=None) -> SearchResult:
+    """Budgeted reachability search shared by every rewrite system here.
+
+    `successors(state)` yields (step, child) for each admitted child, in a
+    deterministic order, and (None, reason) whenever a cap ("lcm budget" or
+    "depth cap") made it skip work.  States leave the frontier by
+    (priority(state), insertion tick), so priority=None is breadth-first.
+    `steps` counts admitted children before dedupe.  Reasons rank "state
+    budget" over "lcm budget" over "depth cap"; a found trace carries no
+    reason, and its `complete` covers only the caps met before it.
+    """
+    if is_target(start):
+        return SearchResult(True, True, (), 1, 0)
+    start_key = key(start)
+    seen: dict = {start_key: None}  # key -> (parent key, step), None at the start
+    frontier = [(priority(start) if priority else 0, 0, start, start_key)]
+    tick = edges = 0
+    reason = None
+    while frontier:
+        _, _, cur, cur_key = heapq.heappop(frontier)
+        for step, child in successors(cur):
+            if step is None:  # a cap: "lcm budget" outranks "depth cap"
+                if reason != "lcm budget":
+                    reason = child
+                continue
+            edges += 1
+            ckey = key(child)
+            if ckey in seen:
+                continue
+            if len(seen) >= state_budget:
+                return SearchResult(False, False, (), len(seen), edges, "state budget")
+            seen[ckey] = (cur_key, step)
+            if is_target(child):
+                trace = []
+                while seen[ckey] is not None:
+                    ckey, st = seen[ckey]
+                    trace.append(st)
+                return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
+            tick += 1
+            heapq.heappush(frontier, (priority(child) if priority else 0, tick, child, ckey))
+    return SearchResult(False, reason is None, (), len(seen), edges, reason)
+
+
 def search_reduction(
     a: Multifraction,
     target_wordlength: int = 0,
@@ -274,48 +317,20 @@ def search_reduction(
     (0 = the all-trivial target); the BFS order plus the deterministic
     child ordering make the returned trace the canonical shortest one.
     """
-    if a.wordlength <= target_wordlength:
-        return SearchResult(True, True, (), states=1, steps=0)
-    start = a.key()
-    seen: dict[tuple, tuple | None] = {start: None}
-    queue: deque[Multifraction] = deque([a])
-    edges = 0
-    complete = True
-    reason = None
-    truncated = False
-    while queue:
-        cur = queue.popleft()
+
+    def successors(cur: Multifraction):
         cands, ok = reduction_step_candidates(cur, lcm_budget, lcm_max_len)
         if not ok:
-            complete, reason = False, "lcm budget"
+            yield None, "lcm budget"
         for step in cands:
             child = apply_reduction(cur, step, lcm_budget, lcm_max_len)
-            if child is None:
-                continue
-            edges += 1
-            ckey = child.key()
-            if ckey in seen:
-                continue
-            if len(seen) >= state_budget:
-                truncated = True
-                break
-            seen[ckey] = (cur.key(), step)
-            if child.wordlength <= target_wordlength:
-                trace = []
-                k = ckey
-                while seen[k] is not None:
-                    pk, st = seen[k]
-                    trace.append(st)
-                    k = pk
-                trace.reverse()
-                return SearchResult(
-                    True, complete, tuple(trace), states=len(seen), steps=edges
-                )
-            queue.append(child)
-        if truncated:
-            complete, reason = False, "state budget"
-            break
-    return SearchResult(False, complete, (), states=len(seen), steps=edges, reason=reason)
+            if child is not None:
+                yield step, child
+
+    def is_target(b: Multifraction) -> bool:
+        return b.wordlength <= target_wordlength
+
+    return _search(a, Multifraction.key, successors, is_target, state_budget)
 
 
 def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:

@@ -22,7 +22,6 @@ pair of trivial entries on the ordinary side.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted
@@ -33,6 +32,7 @@ from .multifraction import (
     Multifraction,
     ReductionStep,
     SearchResult,
+    _search,
     apply_reduction,
 )
 
@@ -170,20 +170,11 @@ def split_reduces_to_trivial(
     """
     if max_depth is None:
         max_depth = 2 * a.depth + 12
-    if a.is_trivial():
-        return SearchResult(True, True, (), states=1, steps=0)
-    seen: dict[tuple, tuple | None] = {a.key(): None}
-    heap: list[tuple[int, int, int, Multifraction]] = [(a.wordlength, a.depth, 0, a)]
-    tick = 1
-    edges = 0
-    complete = True
-    reason = None
-    truncated = False
-    while heap:
-        _, _, _, cur = heapq.heappop(heap)
+
+    def successors(cur: Multifraction):
         cands, ok = split_step_candidates(cur, lcm_budget, lcm_max_len)
         if not ok:
-            complete, reason = False, "lcm budget"
+            yield None, "lcm budget"
         for step in cands:
             child = apply_split_or_trim(
                 cur, step, lcm_budget=lcm_budget, lcm_max_len=lcm_max_len
@@ -191,31 +182,14 @@ def split_reduces_to_trivial(
             if child is None:
                 continue
             if child.depth > max_depth:
-                complete, reason = False, reason or "depth cap"
-                continue
-            edges += 1
-            ckey = child.key()
-            if ckey in seen:
-                continue
-            if len(seen) >= state_budget:
-                truncated = True
-                break
-            seen[ckey] = (cur.key(), step)
-            if child.is_trivial():
-                trace = []
-                k = ckey
-                while seen[k] is not None:
-                    pk, st = seen[k]
-                    trace.append(st)
-                    k = pk
-                trace.reverse()
-                return SearchResult(True, complete, tuple(trace), states=len(seen), steps=edges)
-            heapq.heappush(heap, (child.wordlength, child.depth, tick, child))
-            tick += 1
-        if truncated:
-            complete, reason = False, "state budget"
-            break
-    return SearchResult(False, complete, (), states=len(seen), steps=edges, reason=reason)
+                yield None, "depth cap"
+            else:
+                yield step, child
+
+    def priority(b: Multifraction) -> tuple[int, int]:
+        return b.wordlength, b.depth
+
+    return _search(a, Multifraction.key, successors, Multifraction.is_trivial, state_budget, priority)
 
 
 def simulate_reduction_by_splits(a: Multifraction, step: ReductionStep) -> list:

@@ -19,12 +19,11 @@ them on the presentations this package targets with this engine.)
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .monoid import Monoid
-from .multifraction import SearchResult
+from .multifraction import SearchResult, _search
 from .presentation import ArtinPresentation
 from .reversing import reverse_step
 from .words import SignedWord, signed_of_positive, signed_str
@@ -134,34 +133,8 @@ def search_empty_word(
     word = tuple(word)
     if max_len is None:
         max_len = len(word)
-    if not word:
-        return SearchResult(True, True, (), states=1, steps=0)
-    seen: dict[SignedWord, tuple | None] = {word: None}
-    queue: deque[SignedWord] = deque([word])
-    edges = 0
-    truncated = False
-    while queue:
-        cur = queue.popleft()
-        for step, nxt in special_neighbors(monoid, cur, max_len=max_len):
-            edges += 1
-            if nxt in seen:
-                continue
-            if len(seen) >= state_budget:
-                truncated = True
-                break
-            seen[nxt] = (cur, step)
-            if not nxt:
-                trace = []
-                k = nxt
-                while seen[k] is not None:
-                    pk, st = seen[k]
-                    trace.append(st)
-                    k = pk
-                trace.reverse()
-                return SearchResult(True, True, tuple(trace), states=len(seen), steps=edges)
-            queue.append(nxt)
-        if truncated:
-            return SearchResult(
-                False, False, (), states=len(seen), steps=edges, reason="state budget"
-            )
-    return SearchResult(False, True, (), states=len(seen), steps=edges)
+
+    def successors(w: SignedWord):
+        return special_neighbors(monoid, w, max_len=max_len)
+
+    return _search(word, lambda w: w, successors, lambda w: not w, state_budget)

@@ -100,7 +100,7 @@ class BoundedLcmOracle:
     """
 
     def __init__(self, monoid: Monoid, sweep, bound: int):
-        from multifrac._kernels import congruence_class
+        from multifrac.monoid import congruence_class
 
         self.monoid = monoid
         self.bound = bound

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from multifrac import ArtinPresentation, BudgetExhausted, Monoid
+from multifrac import ArtinPresentation, BudgetExhausted, Monoid, kernel_backend
+from multifrac.monoid import congruence_class
 
 from oracles import MultipleSets, all_threes, braid_pair, naive_class
 
@@ -30,6 +31,24 @@ def test_class_matches_string_oracle(a2):
         assert {"".join(t) for t in a2.element(w).class_words} == naive_class(
             w, [("aba", "bab")]
         )
+
+
+def test_pure_kernel_matches_string_oracle():
+    assert kernel_backend() == "python"
+    pres = all_threes()
+    rules = []
+    for rel in pres.relations():
+        l, r = pres.encode(rel.lhs), pres.encode(rel.rhs)
+        rules += [(l, r), (r, l)]
+    rng = random.Random(61)
+    for _ in range(60):
+        w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 7)))
+        got = {pres.word_str(k) if k else "" for k in congruence_class(pres.encode(w), tuple(rules))}
+        want = set(
+            naive_class(w, [("".join(r.lhs), "".join(r.rhs)) for r in pres.relations()])
+        )
+        want = {x if x else "" for x in want}
+        assert got == want
 
 
 def test_multiply(a2):
