@@ -7,11 +7,17 @@ element is identified by the lexicographically least member of its class
 under the declared generator order, which gives deterministic hashing,
 ordering and trace output.
 
-Divisibility, gcd, divisor enumeration all come straight from class
-membership: x left-divides y iff some member of y's class literally starts
-with the canonical word of x.  Lcms and complements are computed by subword
-reversing, with budgets (see `reversing`); a budget hit surfaces as
-BudgetExhausted, never as "no lcm".
+Each Monoid keeps one word-indexed map: every word of every class built
+so far maps to the class's single interned element, which carries the
+class itself.  `element` is the only place a class is built; `class_of`
+and `canonical` read it.
+
+Divisibility, gcd and divisor enumeration share one cached table per
+(side, element): it maps the canonical word of each left- (right-) divisor
+to one cofactor word, read off the prefixes (suffixes) of the class
+members.  The cofactor is unique up to the congruence by cancellativity.
+Lcms and complements are computed by subword reversing, with budgets (see
+`reversing`); a budget hit surfaces as BudgetExhausted, never as "no lcm".
 
 Elements are immutable and operations are pure.  The per-monoid caches are
 only ever extended with values that are functions of their key, so
@@ -53,11 +59,12 @@ def congruence_class(word: bytes, rules: tuple[tuple[bytes, bytes], ...]) -> fro
 class MonoidElement:
     """One class of positive words, pinned to its canonical representative."""
 
-    __slots__ = ("monoid", "key")
+    __slots__ = ("monoid", "key", "cls")
 
-    def __init__(self, monoid: "Monoid", key: bytes):
+    def __init__(self, monoid: "Monoid", key: bytes, cls: frozenset[bytes]):
         self.monoid = monoid
         self.key = key  # canonical (lex-least) word, as generator indices
+        self.cls = cls  # every word of the class, as generator indices
 
     @property
     def word(self) -> tuple[str, ...]:
@@ -66,7 +73,7 @@ class MonoidElement:
     @property
     def class_words(self) -> frozenset[tuple[str, ...]]:
         dec = self.monoid.presentation.decode
-        return frozenset(dec(w) for w in self.monoid.class_of(self.key))
+        return frozenset(dec(w) for w in self.cls)
 
     def divides(self, other: "MonoidElement", side: str = "left") -> bool:
         return self.monoid.divide(side, self, other) is not None
@@ -112,33 +119,13 @@ class Monoid:
             rules.append((lhs, rhs))
             rules.append((rhs, lhs))
         self._rules = tuple(rules)
-        self._classes: dict[bytes, frozenset[bytes]] = {}
-        self._canon: dict[bytes, bytes] = {}
-        self._interned: dict[bytes, MonoidElement] = {}
-        self._divisors: dict[tuple[str, bytes], tuple[MonoidElement, ...]] = {}
+        self._elements: dict[bytes, MonoidElement] = {}
+        # (side, x.key) -> (sorted divisors of x, {divisor key: cofactor word})
+        self._divisors: dict[tuple[str, bytes], tuple[tuple, dict[bytes, bytes]]] = {}
         self._lcm_cache: dict[tuple[str, bytes, bytes], tuple] = {}
         self.identity = self.element(b"")
 
     # -- classes and elements -------------------------------------------
-
-    def class_of(self, word) -> frozenset[bytes]:
-        key = self.presentation.encode(word)
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = congruence_class(key, self._rules)
-            canon = min(cls)
-            for w in cls:
-                self._classes[w] = cls
-                self._canon[w] = canon
-        return cls
-
-    def canonical(self, word) -> bytes:
-        key = self.presentation.encode(word)
-        canon = self._canon.get(key)
-        if canon is None:
-            self.class_of(key)
-            canon = self._canon[key]
-        return canon
 
     def element(self, word) -> MonoidElement:
         """The class of a positive word (string, token iterable, or bytes)."""
@@ -146,12 +133,20 @@ class Monoid:
             if word.monoid is not self:
                 raise ValueError("element belongs to a different monoid")
             return word
-        canon = self.canonical(word)
-        el = self._interned.get(canon)
+        key = self.presentation.encode(word)
+        el = self._elements.get(key)
         if el is None:
-            el = MonoidElement(self, canon)
-            self._interned[canon] = el
+            cls = congruence_class(key, self._rules)
+            el = MonoidElement(self, min(cls), cls)
+            for w in cls:
+                self._elements[w] = el
         return el
+
+    def class_of(self, word) -> frozenset[bytes]:
+        return self.element(word).cls
+
+    def canonical(self, word) -> bytes:
+        return self.element(word).key
 
     def _check(self, *xs: MonoidElement):
         for x in xs:
@@ -172,56 +167,57 @@ class Monoid:
         self._check(x, y)
         return self.element(x.key + y.key)
 
+    def _divisor_table(self, side: str, x: MonoidElement):
+        """(divisors of x in canonical order, {divisor key: cofactor word}), cached.
+
+        side="left" reads d*c = x off the prefixes of x's class members,
+        side="right" reads c*d = x off their suffixes.
+        """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        self._check(x)
+        table = self._divisors.get((side, x.key))
+        if table is None:
+            cofactors: dict[bytes, bytes] = {}
+            for w in x.cls:
+                n = len(w)
+                for k in range(n + 1):
+                    d, c = (w[:k], w[k:]) if side == "left" else (w[n - k:], w[:n - k])
+                    el = self._elements.get(d)
+                    if el is None:
+                        el = self.element(d)
+                    cofactors.setdefault(el.key, c)
+            divs = tuple(sorted(self._elements[k] for k in cofactors))
+            table = self._divisors[(side, x.key)] = (divs, cofactors)
+        return table
+
     def divide(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
         """The witness z with y = x*z (side="left") or y = z*x (side="right").
 
         None when x does not divide y; the witness is unique by
         cancellativity.
         """
-        self._check(x, y)
-        if side == "left":
-            for w in self.class_of(y.key):
-                if w.startswith(x.key):
-                    return self.element(w[len(x.key):])
-            return None
-        if side == "right":
-            for w in self.class_of(y.key):
-                if w.endswith(x.key):
-                    return self.element(w[: len(w) - len(x.key)])
-            return None
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        self._check(x)
+        cofactor = self._divisor_table(side, y)[1].get(x.key)
+        return None if cofactor is None else self.element(cofactor)
 
     def divisors(self, side: str, x: MonoidElement) -> tuple[MonoidElement, ...]:
         """All left- (right-) divisors of x, including 1 and x, in canonical order."""
-        self._check(x)
-        cached = self._divisors.get((side, x.key))
-        if cached is not None:
-            return cached
-        keys = set()
-        for w in self.class_of(x.key):
-            for k in range(len(w) + 1):
-                keys.add(self.canonical(w[:k] if side == "left" else w[len(w) - k:]))
-        out = tuple(sorted((self.element(k) for k in keys)))
-        self._divisors[(side, x.key)] = out
-        return out
+        return self._divisor_table(side, x)[0]
 
     def gcd(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement:
         """Greatest common left- (right-) divisor.
 
-        Computed by enumerating the divisors of the shorter element; in a
-        gcd-monoid the maximal-length common divisor is unique, so finding
-        two distinct ones is a structural failure.
+        The divisors of the shorter element are tested against the divisor
+        table of the longer one; in a gcd-monoid the maximal-length common
+        divisor is unique, so finding two distinct ones is a structural
+        failure.
         """
         self._check(x, y)
         small, big = (x, y) if len(x.key) <= len(y.key) else (y, x)
-        big_divs = {d.key for d in self.divisors(side, big)}
-        best: list[MonoidElement] = []
-        for d in self.divisors(side, small):
-            if d.key in big_divs:
-                if not best or len(d.key) > len(best[0].key):
-                    best = [d]
-                elif len(d.key) == len(best[0].key) and d.key != best[0].key:
-                    best.append(d)
+        big_divs = self._divisor_table(side, big)[1]
+        common = [d for d in self.divisors(side, small) if d.key in big_divs]
+        best = [d for d in common if len(d.key) == len(common[-1].key)]
         if len(best) != 1:
             raise StructuralError(
                 f"{side}-gcd of {x} and {y} is not unique: {best}"

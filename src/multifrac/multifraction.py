@@ -60,7 +60,7 @@ class Multifraction:
     __slots__ = ("monoid", "entries")
 
     def __init__(self, monoid: Monoid, entries):
-        items = tuple(monoid.element(e) for e in entries)
+        items = tuple(map(monoid.element, entries))
         if not items:
             raise ValueError("a multifraction has at least one entry")
         self.monoid = monoid
@@ -72,7 +72,7 @@ class Multifraction:
 
     @property
     def wordlength(self) -> int:
-        return sum(len(e) for e in self.entries)
+        return sum(len(e.key) for e in self.entries)
 
     def is_trivial(self) -> bool:
         return self.wordlength == 0
@@ -176,26 +176,17 @@ def apply_reduction(
         if b1 is None or b2 is None:
             return None
         e[0], e[1] = b1, b2
-    elif i % 2 == 0:
-        quot = m.divide("left", x, e[i])
-        if quot is None:
-            return None
-        data = m.lcm_data("right", x, e[i - 1], lcm_budget, lcm_max_len)
-        if data is None:
-            return None
-        _, comp_x, comp_a = data  # x*comp_x = a_i*comp_a = x v a_i
-        e[i - 2] = m.multiply(e[i - 2], comp_a)
-        e[i - 1] = comp_x
-        e[i] = quot
     else:
-        quot = m.divide("right", x, e[i])
+        side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
+        quot = m.divide(side, x, e[i])
         if quot is None:
             return None
-        data = m.lcm_data("left", x, e[i - 1], lcm_budget, lcm_max_len)
+        data = m.lcm_data(lcm_side, x, e[i - 1], lcm_budget, lcm_max_len)
         if data is None:
             return None
-        _, comp_x, comp_a = data  # comp_x*x = comp_a*a_i = left-lcm
-        e[i - 2] = m.multiply(comp_a, e[i - 2])
+        # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
+        _, comp_x, comp_a = data
+        e[i - 2] = m.multiply(e[i - 2], comp_a) if side == "left" else m.multiply(comp_a, e[i - 2])
         e[i - 1] = comp_x
         e[i] = quot
     return Multifraction(m, e)
@@ -223,24 +214,16 @@ def reduction_step_candidates(
             for x in m.divisors("right", nxt):
                 if not x.is_identity() and x.key in first:
                     steps.append(ReductionStep(1, x))
-        elif i % 2 == 0:
-            for x in m.divisors("left", nxt):
-                if x.is_identity():
-                    continue
-                try:
-                    if m.lcm_data("right", x, a.entry(i), lcm_budget, lcm_max_len) is not None:
-                        steps.append(ReductionStep(i, x))
-                except BudgetExhausted:
-                    complete = False
-        else:
-            for x in m.divisors("right", nxt):
-                if x.is_identity():
-                    continue
-                try:
-                    if m.lcm_data("left", x, a.entry(i), lcm_budget, lcm_max_len) is not None:
-                        steps.append(ReductionStep(i, x))
-                except BudgetExhausted:
-                    complete = False
+            continue
+        side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
+        for x in m.divisors(side, nxt):
+            if x.is_identity():
+                continue
+            try:
+                if m.lcm_data(lcm_side, x, a.entry(i), lcm_budget, lcm_max_len) is not None:
+                    steps.append(ReductionStep(i, x))
+            except BudgetExhausted:
+                complete = False
     return steps, complete
 
 

@@ -137,10 +137,11 @@ def split_step_candidates(
         if a.entry(i + 1).is_identity():
             steps.append(TrimStep(i))
     for i in range(1, a.depth):
-        side = "left" if i % 2 == 0 else "right"
-        lcm_side = "right" if i % 2 == 0 else "left"
-        for y in m.divisors(side, a.entry(i)):
-            for x in m.divisors(side, a.entry(i + 1)):
+        side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
+        ys = m.divisors(side, a.entry(i))
+        xs = m.divisors(side, a.entry(i + 1))
+        for y in ys:
+            for x in xs:
                 if x.is_identity() and y.is_identity():
                     continue
                 try:

@@ -92,6 +92,63 @@ def test_cancellativity_spot_check(a2):
             assert seen.setdefault(prod.key, z) == z
 
 
+def test_divisibility_rejects_unknown_side(a2):
+    x, y = a2.element("ab"), a2.element("aba")
+    for _ in range(2):  # a rejected side leaves nothing cached behind
+        with pytest.raises(ValueError):
+            a2.divisors("up", y)
+        with pytest.raises(ValueError):
+            a2.gcd("up", x, y)
+        with pytest.raises(ValueError):
+            a2.divide("up", x, y)
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [
+        (braid_pair(3), 5),
+        (braid_pair(4), 5),
+        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 4),
+        (all_threes(), 4),
+    ],
+    ids=["I2(3)", "I2(4)", "A3", "A2~"],
+)
+def test_divide_and_divisors_match_naive_scan(pres, max_len):
+    m = Monoid(pres)
+    rels = [("".join(r.lhs), "".join(r.rhs)) for r in pres.relations()]
+    naive: dict[str, frozenset[str]] = {}
+
+    def cls(w: str) -> frozenset[str]:
+        if w not in naive:
+            naive[w] = naive_class(w, rels)
+        return naive[w]
+
+    words = [""]
+    for _ in range(max_len):
+        words += [w + g for w in words if len(w) == len(words[-1]) for g in pres.generators]
+    els = sorted({m.element(w) for w in words})
+    for y in els:
+        for w in m.class_of(y.key):
+            assert m.element(w) is m.element(m.canonical(w)) is y
+        members = cls("".join(y.word))
+        for side in ("left", "right"):
+            parts = {w[:k] if side == "left" else w[len(w) - k:]
+                     for w in members for k in range(len(w) + 1)}
+            want = sorted({min(cls(p)) for p in parts}, key=lambda s: (len(s), s))
+            assert ["".join(d.word) for d in m.divisors(side, y)] == want
+            for x in els:
+                xw = "".join(x.word)
+                rests = [w[len(xw):] if side == "left" else w[:len(w) - len(xw)]
+                         for w in members
+                         if (w.startswith(xw) if side == "left" else w.endswith(xw))]
+                got = m.divide(side, x, y)
+                if not rests:
+                    assert got is None
+                else:
+                    assert all(cls(r) == cls(rests[0]) for r in rests)
+                    assert {"".join(t) for t in got.class_words} == cls(rests[0])
+
+
 def test_divisors(a2):
     e = a2.element
     assert set(a2.divisors("left", e("aba"))) == {
