@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import BudgetExhausted, PresentationError, StructuralError
 from .monoid import Monoid, MonoidElement
 from .multifraction import Multifraction, ReductionStep, apply_reduction
-from .reversing import reverse_full
+from .reversing import reverse_full, split_terminal
 from .words import SignedWord, free_reduce, parse_signed, runs, signed_of_positive
 
 __all__ = ["padding_bound", "FractionPair", "Dihedral"]
@@ -78,8 +78,9 @@ class Dihedral:
             )
         self.s, self.t, self.m = s, t, m
         self._letters = frozenset((pres.index(s), pres.index(t)))
-        self._forms_cache: dict[tuple[bytes, bytes], tuple[FractionPair, FractionPair]] = {}
-        self._geo_memo: dict[tuple[bytes, bytes], tuple[int, SignedWord]] = {}
+        # both keyed by the (num, den) elements of the right form
+        self._forms_cache: dict[tuple, tuple[FractionPair, FractionPair]] = {}
+        self._geo_memo: dict[tuple, tuple[int, SignedWord]] = {}
 
     # -- basics -----------------------------------------------------------
 
@@ -117,23 +118,10 @@ class Dihedral:
             terminal = reverse_full(m.presentation, side, w, self.REVERSAL_BUDGET).word
         except BudgetExhausted as exc:
             raise StructuralError(f"dihedral reversing did not terminate: {exc}") from exc
-        blocks = runs(terminal)
-        if len(blocks) > 2:
-            raise StructuralError(f"reversing terminal {terminal} is not a fraction")
-        pos = neg = b""
-        for sign, key in blocks:
-            if sign > 0:
-                pos = key
-            else:
-                neg = key
-        if side == "right":
-            if blocks and blocks[0][0] < 0 and len(blocks) == 2:
-                raise StructuralError("right-reversing terminal is not positive-negative")
-            num0, den0 = m.element(pos), m.element(neg)
-        else:
-            if blocks and blocks[0][0] > 0 and len(blocks) == 2:
-                raise StructuralError("left-reversing terminal is not negative-positive")
-            num0, den0 = m.element(neg), m.element(pos)
+        split = split_terminal(side, terminal)
+        if split is None:
+            raise StructuralError(f"{side}-reversing terminal {terminal} is not a fraction")
+        num0, den0 = m.element(split[0]), m.element(split[1])
         d = m.gcd(side, num0, den0)
         num = m.divide(side, d, num0)
         den = m.divide(side, d, den0)
@@ -177,7 +165,7 @@ class Dihedral:
 
     def _forms(self, w: SignedWord) -> tuple[FractionPair, FractionPair]:
         right = self.normal_form("right", w)
-        key = (right.num.key, right.den.key)
+        key = (right.num, right.den)
         hit = self._forms_cache.get(key)
         if hit is None:
             hit = (right, self.normal_form("left", w))
@@ -219,7 +207,7 @@ class Dihedral:
         if fright.num.is_identity():
             key = fright.den.key
             return len(key), signed_of_positive(key, -1)
-        gkey = (fright.num.key, fright.den.key)
+        gkey = (fright.num, fright.den)
         hit = self._geo_memo.get(gkey)
         if hit is not None:
             return hit
@@ -300,7 +288,7 @@ class Dihedral:
                 if not partner.is_identity():
                     raise StructuralError("final fraction entry should be trivial")
                 target = last_block + 1 if last_block else (1 if v[0] > 0 else 2)
-                if block.key != m.canonical(
+                if block is not m.element(
                     bytes(abs(c) - 1 for c in (u if positive else tuple(reversed(u))))
                 ):
                     raise StructuralError("final block does not spell the geodesic tail")

@@ -3,32 +3,38 @@
 Because every defining relation is homogeneous (equal lengths on both
 sides), the class of a word is finite and can be materialised by a
 breadth-first closure; that closure is the package's hot kernel.  An
-element is identified by the lexicographically least member of its class
-under the declared generator order, which gives deterministic hashing,
-ordering and trace output.
+element is pinned to the lexicographically least member of its class under
+the declared generator order, which gives deterministic ordering and trace
+output.
 
 Each Monoid keeps one word-indexed map: every word of every class built
 so far maps to the class's single interned element, which carries the
-class itself.  `element` is the only place a class is built; `class_of`
-and `canonical` read it.
+class itself.  `element` is the only place a class is built or an element
+constructed; `class_of` and `canonical` read it.  So two elements are equal
+exactly when they are the same object, and the divisor and lcm caches are
+keyed by the elements themselves.
 
 Divisibility, gcd and divisor enumeration share one cached table per
-(side, element): it maps the canonical word of each left- (right-) divisor
-to one cofactor word, read off the prefixes (suffixes) of the class
-members.  The cofactor is unique up to the congruence by cancellativity.
-Lcms and complements are computed by subword reversing, with budgets (see
-`reversing`); a budget hit surfaces as BudgetExhausted, never as "no lcm".
+(side, element): it maps each left- (right-) divisor to one cofactor word,
+read off the prefixes (suffixes) of the class members.  The cofactor is
+unique up to the congruence by cancellativity.  Lcms and complements are
+computed by subword reversing, with budgets (see `reversing`); a budget hit
+surfaces as BudgetExhausted, never as "no lcm".
 
-Elements are immutable and operations are pure.  The per-monoid caches are
-only ever extended with values that are functions of their key, so
-concurrent readers racing an insert at worst recompute.
+Elements are immutable and operations are pure.  Building a class holds a
+per-monoid lock, so threads sharing a Monoid still get one element per
+class; the other caches are only ever extended with values that are
+functions of their key, so concurrent readers racing an insert at worst
+recompute.
 """
 
 from __future__ import annotations
 
+import threading
+
 from .errors import BudgetExhausted, StructuralError
 from .presentation import ArtinPresentation
-from .reversing import DEFAULT_STEP_BUDGET, reverse_full
+from .reversing import DEFAULT_STEP_BUDGET, reverse_full, split_terminal
 from .words import SignedWord, signed_of_positive
 
 __all__ = ["Monoid", "MonoidElement"]
@@ -57,7 +63,11 @@ def congruence_class(word: bytes, rules: tuple[tuple[bytes, bytes], ...]) -> fro
 
 
 class MonoidElement:
-    """One class of positive words, pinned to its canonical representative."""
+    """One class of positive words, pinned to its canonical representative.
+
+    Only `Monoid.element` constructs elements, one per class, so equality
+    is identity and hashing is by identity; `<` orders by (length, key).
+    """
 
     __slots__ = ("monoid", "key", "cls")
 
@@ -87,16 +97,6 @@ class MonoidElement:
     def __mul__(self, other: "MonoidElement") -> "MonoidElement":
         return self.monoid.multiply(self, other)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonoidElement)
-            and self.monoid is other.monoid
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.monoid), self.key))
-
     def __lt__(self, other: "MonoidElement") -> bool:
         return (len(self.key), self.key) < (len(other.key), other.key)
 
@@ -120,9 +120,10 @@ class Monoid:
             rules.append((rhs, lhs))
         self._rules = tuple(rules)
         self._elements: dict[bytes, MonoidElement] = {}
-        # (side, x.key) -> (sorted divisors of x, {divisor key: cofactor word})
-        self._divisors: dict[tuple[str, bytes], tuple[tuple, dict[bytes, bytes]]] = {}
-        self._lcm_cache: dict[tuple[str, bytes, bytes], tuple] = {}
+        self._build_lock = threading.Lock()
+        # (side, x) -> (sorted divisors of x, {divisor: cofactor word})
+        self._divisors: dict[tuple[str, MonoidElement], tuple[tuple, dict]] = {}
+        self._lcm_cache: dict[tuple[str, MonoidElement, MonoidElement], tuple] = {}
         self.identity = self.element(b"")
 
     # -- classes and elements -------------------------------------------
@@ -136,10 +137,13 @@ class Monoid:
         key = self.presentation.encode(word)
         el = self._elements.get(key)
         if el is None:
-            cls = congruence_class(key, self._rules)
-            el = MonoidElement(self, min(cls), cls)
-            for w in cls:
-                self._elements[w] = el
+            with self._build_lock:
+                el = self._elements.get(key)
+                if el is None:
+                    cls = congruence_class(key, self._rules)
+                    el = MonoidElement(self, min(cls), cls)
+                    for w in cls:
+                        self._elements[w] = el
         return el
 
     def class_of(self, word) -> frozenset[bytes]:
@@ -168,7 +172,7 @@ class Monoid:
         return self.element(x.key + y.key)
 
     def _divisor_table(self, side: str, x: MonoidElement):
-        """(divisors of x in canonical order, {divisor key: cofactor word}), cached.
+        """(divisors of x in canonical order, {divisor: cofactor word}), cached.
 
         side="left" reads d*c = x off the prefixes of x's class members,
         side="right" reads c*d = x off their suffixes.
@@ -176,9 +180,9 @@ class Monoid:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         self._check(x)
-        table = self._divisors.get((side, x.key))
+        table = self._divisors.get((side, x))
         if table is None:
-            cofactors: dict[bytes, bytes] = {}
+            cofactors: dict[MonoidElement, bytes] = {}
             for w in x.cls:
                 n = len(w)
                 for k in range(n + 1):
@@ -186,9 +190,8 @@ class Monoid:
                     el = self._elements.get(d)
                     if el is None:
                         el = self.element(d)
-                    cofactors.setdefault(el.key, c)
-            divs = tuple(sorted(self._elements[k] for k in cofactors))
-            table = self._divisors[(side, x.key)] = (divs, cofactors)
+                    cofactors.setdefault(el, c)
+            table = self._divisors[(side, x)] = (tuple(sorted(cofactors)), cofactors)
         return table
 
     def divide(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
@@ -198,7 +201,7 @@ class Monoid:
         cancellativity.
         """
         self._check(x)
-        cofactor = self._divisor_table(side, y)[1].get(x.key)
+        cofactor = self._divisor_table(side, y)[1].get(x)
         return None if cofactor is None else self.element(cofactor)
 
     def divisors(self, side: str, x: MonoidElement) -> tuple[MonoidElement, ...]:
@@ -216,7 +219,7 @@ class Monoid:
         self._check(x, y)
         small, big = (x, y) if len(x.key) <= len(y.key) else (y, x)
         big_divs = self._divisor_table(side, big)[1]
-        common = [d for d in self.divisors(side, small) if d.key in big_divs]
+        common = [d for d in self.divisors(side, small) if d in big_divs]
         best = [d for d in common if len(d.key) == len(common[-1].key)]
         if len(best) != 1:
             raise StructuralError(
@@ -278,7 +281,7 @@ class Monoid:
         self._check(x, y)
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        key = (side, x.key, y.key)
+        key = (side, x, y)
         hit = self._lcm_cache.get(key)
         if hit is not None:
             if hit[0] == "ok":
@@ -303,50 +306,22 @@ class Monoid:
         except BudgetExhausted:
             self._lcm_cache[key] = ("budget", budget, max_len)
             raise
-        split = self._split_terminal(terminal, side)
+        split = split_terminal(side, terminal)
         if split is None:
             self._lcm_cache[key] = ("absent",)
             return None
         if side == "right":
-            vp, up = split  # terminal = vp * invert(up), both positive
+            vp, up = split  # terminal = vp * invert(up)
             lcm = self.element(x.key + vp)
-            if self.element(y.key + up) != lcm:
+            if self.element(y.key + up) is not lcm:
                 raise StructuralError("reversing terminal is not a common multiple")
             data = (lcm, self.element(vp), self.element(up))
         else:
             up, vp = split  # terminal = invert(up) * vp
             lcm = self.element(up + x.key)
-            if self.element(vp + y.key) != lcm:
+            if self.element(vp + y.key) is not lcm:
                 raise StructuralError("reversing terminal is not a common multiple")
             # (vp)*y = lcm makes vp the over-complement x/y; up is y/x
             data = (lcm, self.element(up), self.element(vp))
         self._lcm_cache[key] = ("ok", data)
         return data
-
-    @staticmethod
-    def _split_terminal(word: SignedWord, side: str):
-        """Split a reversing terminal into its two constant-sign halves.
-
-        Right terminals must be positive-then-negative, left terminals
-        negative-then-positive; any other shape means the reversing blocked
-        on a free pair, i.e. no common multiple exists.
-        """
-        first_neg = len(word)
-        for k, c in enumerate(word):
-            if c < 0:
-                first_neg = k
-                break
-        if side == "right":
-            pos, neg = word[:first_neg], word[first_neg:]
-        else:
-            first_pos = len(word)
-            for k, c in enumerate(word):
-                if c > 0:
-                    first_pos = k
-                    break
-            neg, pos = word[:first_pos], word[first_pos:]
-        if any(c < 0 for c in pos) or any(c > 0 for c in neg):
-            return None
-        pos_key = bytes(c - 1 for c in pos)
-        neg_key = bytes(-c - 1 for c in reversed(neg))
-        return (pos_key, neg_key) if side == "right" else (neg_key, pos_key)

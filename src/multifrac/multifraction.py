@@ -81,8 +81,9 @@ class Multifraction:
         """1-based entry access, matching the rewrite-rule indexing."""
         return self.entries[i - 1]
 
-    def key(self) -> tuple[bytes, ...]:
-        return tuple(e.key for e in self.entries)
+    def key(self) -> tuple[MonoidElement, ...]:
+        """The entries themselves: interned elements compare by identity."""
+        return self.entries
 
     def pad(self, p: int) -> "Multifraction":
         """Prepend 2p trivial entries; even so the group value is preserved."""
@@ -126,14 +127,11 @@ class Multifraction:
         return cls(monoid, entries)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Multifraction)
-            and self.monoid is other.monoid
-            and self.entries == other.entries
-        )
+        # identical entries imply the same monoid
+        return isinstance(other, Multifraction) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((id(self.monoid), self.key()))
+        return hash(self.entries)
 
     def __str__(self) -> str:
         return "/".join(str(e) for e in self.entries)
@@ -154,10 +152,7 @@ class ReductionStep:
 
 
 def apply_reduction(
-    a: Multifraction,
-    step: ReductionStep,
-    lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
+    a: Multifraction, step: ReductionStep, lcm_budget: int = DEFAULT_LCM_BUDGET
 ) -> Multifraction | None:
     """Apply one reduction step; None when its conditions fail.
 
@@ -181,7 +176,7 @@ def apply_reduction(
         quot = m.divide(side, x, e[i])
         if quot is None:
             return None
-        data = m.lcm_data(lcm_side, x, e[i - 1], lcm_budget, lcm_max_len)
+        data = m.lcm_data(lcm_side, x, e[i - 1], lcm_budget, DEFAULT_LCM_MAX_LEN)
         if data is None:
             return None
         # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
@@ -193,9 +188,7 @@ def apply_reduction(
 
 
 def reduction_step_candidates(
-    a: Multifraction,
-    lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
+    a: Multifraction, lcm_budget: int = DEFAULT_LCM_BUDGET
 ) -> tuple[list[ReductionStep], bool]:
     """All applicable reduction steps, ordered by (i, parameter word).
 
@@ -210,9 +203,9 @@ def reduction_step_candidates(
         if nxt.is_identity():
             continue
         if i == 1:
-            first = {d.key for d in m.divisors("right", a.entry(1))}
+            first = set(m.divisors("right", a.entry(1)))
             for x in m.divisors("right", nxt):
-                if not x.is_identity() and x.key in first:
+                if not x.is_identity() and x in first:
                     steps.append(ReductionStep(1, x))
             continue
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
@@ -220,7 +213,7 @@ def reduction_step_candidates(
             if x.is_identity():
                 continue
             try:
-                if m.lcm_data(lcm_side, x, a.entry(i), lcm_budget, lcm_max_len) is not None:
+                if m.lcm_data(lcm_side, x, a.entry(i), lcm_budget, DEFAULT_LCM_MAX_LEN):
                     steps.append(ReductionStep(i, x))
             except BudgetExhausted:
                 complete = False
@@ -292,7 +285,6 @@ def search_reduction(
     target_wordlength: int = 0,
     state_budget: int = DEFAULT_STATE_BUDGET,
     lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
 ) -> SearchResult:
     """Breadth-first search of the reduction graph from `a`.
 
@@ -302,11 +294,11 @@ def search_reduction(
     """
 
     def successors(cur: Multifraction):
-        cands, ok = reduction_step_candidates(cur, lcm_budget, lcm_max_len)
+        cands, ok = reduction_step_candidates(cur, lcm_budget)
         if not ok:
             yield None, "lcm budget"
         for step in cands:
-            child = apply_reduction(cur, step, lcm_budget, lcm_max_len)
+            child = apply_reduction(cur, step, lcm_budget)
             if child is not None:
                 yield step, child
 

@@ -68,6 +68,8 @@ class ArtinPresentation:
                 )
             table[key] = m
         self._labels = table
+        # built once: the reversing and transform tables hash presentations per call
+        self._identity = (gens, tuple(sorted(table.items())))
 
     def _pair_key(self, s: str, t: str) -> tuple[int, int]:
         i, j = self._index[s], self._index[t]
@@ -154,14 +156,10 @@ class ArtinPresentation:
         return f"ArtinPresentation({' '.join(self.generators)}; {labels or 'free'})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ArtinPresentation)
-            and self.generators == other.generators
-            and self._labels == other._labels
-        )
+        return isinstance(other, ArtinPresentation) and self._identity == other._identity
 
     def __hash__(self):
-        return hash((self.generators, tuple(sorted(self._labels.items()))))
+        return hash(self._identity)
 
 
 def parse_presentation(text: str) -> ArtinPresentation:

@@ -20,9 +20,15 @@ from functools import lru_cache
 
 from .errors import BudgetExhausted
 from .presentation import ArtinPresentation, alternating_word
-from .words import SignedWord
+from .words import SignedWord, runs
 
-__all__ = ["reverse_step", "reverse_full", "ReversalResult", "DEFAULT_STEP_BUDGET"]
+__all__ = [
+    "reverse_step",
+    "reverse_full",
+    "split_terminal",
+    "ReversalResult",
+    "DEFAULT_STEP_BUDGET",
+]
 
 DEFAULT_STEP_BUDGET = 10_000
 
@@ -139,3 +145,18 @@ def reverse_full(
             )
         # a rewrite can only create new factors adjacent to the spot it touched
         scan = max(0, pos - 1)
+
+
+def split_terminal(side: str, word: SignedWord) -> tuple[bytes, bytes] | None:
+    """Split a reversing terminal into positive words (num, den).
+
+    A right terminal must read num * den^-1, a left one num^-1 * den; either
+    half may be empty.  Any other shape returns None: reversing blocked on a
+    free pair, so there is no common multiple.
+    """
+    num_sign = 1 if side == "right" else -1
+    blocks = runs(word)
+    if len(blocks) > 2 or (len(blocks) == 2 and blocks[0][0] != num_sign):
+        return None
+    by_sign = dict(blocks)  # maximal runs: at most one per sign
+    return by_sign.get(num_sign, b""), by_sign.get(-num_sign, b"")

@@ -26,7 +26,6 @@ from .dihedral import padding_bound
 from .monoid import Monoid
 from .multifraction import (
     DEFAULT_LCM_BUDGET,
-    DEFAULT_LCM_MAX_LEN,
     DEFAULT_STATE_BUDGET,
     Multifraction,
     apply_reduction,
@@ -86,10 +85,6 @@ class PaddingStrategy:
                 raise ValueError(f"custom padding table has no entry for word-length {wl}") from None
         raise ValueError(f"unknown strategy kind {self.kind!r}")
 
-    def covers_quadratic(self, a: Multifraction) -> bool:
-        wl = a.wordlength
-        return self.padding_for(a) >= padding_bound(wl + wl % 2)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -110,7 +105,6 @@ def decide(
     assume_fc: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
     lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
 ) -> Verdict:
     """Decide whether a signed word represents 1 in the enveloping group."""
     if strategy is None:
@@ -119,12 +113,7 @@ def decide(
     a = Multifraction.from_signed_word(monoid, w)
     p = strategy.padding_for(a)
     padded = a.pad(p)
-    res = reduces_to_trivial(
-        padded,
-        state_budget=state_budget,
-        lcm_budget=lcm_budget,
-        lcm_max_len=lcm_max_len,
-    )
+    res = reduces_to_trivial(padded, state_budget=state_budget, lcm_budget=lcm_budget)
     if res.found:
         cur = padded
         for step in res.trace:
@@ -134,8 +123,9 @@ def decide(
         if not cur.is_trivial():
             raise StructuralError("trivializing trace does not end at the trivial multifraction")
         return Verdict("trivial", p, res.trace, res.states, res.steps)
+    wl = a.wordlength
     complete_class = assume_fc or (
-        monoid.presentation.is_sufficiently_large() and strategy.covers_quadratic(a)
+        monoid.presentation.is_sufficiently_large() and p >= padding_bound(wl + wl % 2)
     )
     if res.complete and complete_class:
         return Verdict("nontrivial", p, (), res.states, res.steps)

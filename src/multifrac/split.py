@@ -74,12 +74,7 @@ class TrimStep:
         return {"rule": "T", "i": self.i}
 
 
-def apply_split(
-    a: Multifraction,
-    step: SplitStep,
-    lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
-) -> Multifraction | None:
+def apply_split(a: Multifraction, step: SplitStep) -> Multifraction | None:
     """Apply one split step; None when its conditions fail."""
     i, x, y = step.i, step.x, step.y
     m = a.monoid
@@ -89,12 +84,12 @@ def apply_split(
         return None
     if x.is_identity() and y.is_identity():
         return None
-    side = "left" if i % 2 == 0 else "right"
+    side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
     b_i = m.divide(side, y, a.entry(i))
     b_last = m.divide(side, x, a.entry(i + 1))
     if b_i is None or b_last is None:
         return None
-    data = m.lcm_data("right" if i % 2 == 0 else "left", x, y, lcm_budget, lcm_max_len)
+    data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN)
     if data is None:
         return None
     _, comp_x, comp_y = data
@@ -116,19 +111,15 @@ def apply_trim(a: Multifraction, step: TrimStep) -> Multifraction | None:
     return Multifraction(m, e)
 
 
-def apply_split_or_trim(a: Multifraction, step, **lcm_budgets) -> Multifraction | None:
+def apply_split_or_trim(a: Multifraction, step) -> Multifraction | None:
     if isinstance(step, SplitStep):
-        return apply_split(a, step, **lcm_budgets)
+        return apply_split(a, step)
     if isinstance(step, TrimStep):
         return apply_trim(a, step)
     raise TypeError(f"not a split-system step: {step!r}")
 
 
-def split_step_candidates(
-    a: Multifraction,
-    lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
-) -> tuple[list, bool]:
+def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
     """All applicable trim and split steps, deterministically ordered."""
     m = a.monoid
     steps: list = []
@@ -145,7 +136,7 @@ def split_step_candidates(
                 if x.is_identity() and y.is_identity():
                     continue
                 try:
-                    if m.lcm_data(lcm_side, x, y, lcm_budget, lcm_max_len) is not None:
+                    if m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN):
                         steps.append(SplitStep(i, x, y))
                 except BudgetExhausted:
                     complete = False
@@ -156,8 +147,6 @@ def split_reduces_to_trivial(
     a: Multifraction,
     state_budget: int = DEFAULT_SPLIT_STATE_BUDGET,
     max_depth: int | None = None,
-    lcm_budget: int = DEFAULT_LCM_BUDGET,
-    lcm_max_len: int | None = DEFAULT_LCM_MAX_LEN,
 ) -> SearchResult:
     """Bounded search for an all-trivial multifraction under split reduction.
 
@@ -173,13 +162,12 @@ def split_reduces_to_trivial(
         max_depth = 2 * a.depth + 12
 
     def successors(cur: Multifraction):
-        cands, ok = split_step_candidates(cur, lcm_budget, lcm_max_len)
+        cands, ok = split_step_candidates(cur)
         if not ok:
             yield None, "lcm budget"
         for step in cands:
-            child = apply_split_or_trim(
-                cur, step, lcm_budget=lcm_budget, lcm_max_len=lcm_max_len
-            ) if isinstance(step, SplitStep) else apply_trim(cur, step)
+            split = isinstance(step, SplitStep)
+            child = apply_split_or_trim(cur, step) if split else apply_trim(cur, step)
             if child is None:
                 continue
             if child.depth > max_depth:

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from itertools import product
 
 import pytest
 
@@ -6,6 +9,8 @@ from multifrac import ArtinPresentation, BudgetExhausted, Monoid, kernel_backend
 from multifrac.monoid import congruence_class
 
 from oracles import MultipleSets, all_threes, braid_pair, naive_class
+
+A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +113,7 @@ def test_divisibility_rejects_unknown_side(a2):
     [
         (braid_pair(3), 5),
         (braid_pair(4), 5),
-        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 4),
+        (A3, 4),
         (all_threes(), 4),
     ],
     ids=["I2(3)", "I2(4)", "A3", "A2~"],
@@ -245,3 +250,73 @@ def test_cross_monoid_elements_rejected(a2):
     other = Monoid(braid_pair(3))
     with pytest.raises(ValueError):
         a2.multiply(a2.element("a"), other.element("b"))
+
+
+@pytest.mark.parametrize("pres", [braid_pair(3), A3, all_threes()], ids=["I2(3)", "A3", "A2~"])
+def test_operations_return_interned_elements(pres):
+    m = Monoid(pres)
+    checked = set()
+
+    def interned(z):
+        assert z is m.element(z.key)
+        if z not in checked:
+            checked.add(z)
+            for w in z.cls:
+                assert m.element(w) is z
+
+    gens = pres.generators
+    words = ["".join(t) for n in range(5) for t in product(gens, repeat=n)]
+    els = sorted({m.element(w) for w in words})
+    for x in els:
+        interned(x)
+        for side in ("left", "right"):
+            for d in m.divisors(side, x):
+                interned(d)
+        for y in els:
+            interned(m.multiply(x, y))
+            for side in ("left", "right"):
+                q = m.divide(side, x, y)
+                if q is not None:
+                    interned(q)
+                interned(m.gcd(side, x, y))
+                try:
+                    data = m.lcm_data(side, x, y, budget=200, max_len=64)
+                except BudgetExhausted:
+                    continue
+                for z in data or ():
+                    interned(z)
+
+
+def test_equal_presentations_give_distinct_elements(a2):
+    other = Monoid(braid_pair(3))
+    assert other.presentation == a2.presentation
+    for w in ("", "a", "aba"):
+        assert other.element(w) != a2.element(w)
+        assert other.element(w).key == a2.element(w).key
+
+
+def test_threads_sharing_a_monoid_intern_one_element_per_class():
+    m = Monoid(A3)
+    words = ["".join(t) for t in product("abc", repeat=6)]
+    seen: list[dict] = [{} for _ in range(4)]
+
+    def intern_all(k: int):
+        order = words[:]
+        random.Random(k).shuffle(order)
+        for w in order:
+            seen[k][w] = m.element(w)
+
+    threads = [threading.Thread(target=intern_all, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w in words:
+        el = m.element(w)
+        assert all(s[w] is el for s in seen)

@@ -52,6 +52,16 @@ def test_to_signed_word_roundtrip(a2):
         assert back.entries == x.entries
 
 
+def test_equality_and_key_follow_the_interned_entries(a2):
+    x, y = mf(a2, "aba", "ab", "aab"), mf(a2, "bab", "ab", "aab")
+    assert x == y and hash(x) == hash(y) and x.key() == y.key()
+    assert x.key() is x.entries
+    assert len({x, y, mf(a2, "aba", "ba", "aab")}) == 2
+    # equal presentations, different monoids: no entry is shared
+    z = mf(Monoid(braid_pair(3)), "aba", "ab", "aab")
+    assert z != x and z.key() != x.key()
+
+
 def test_pad(a2):
     x = mf(a2, "a", "b")
     assert str(x.pad(1)) == "1/1/a/b"
