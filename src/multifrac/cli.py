@@ -19,11 +19,7 @@ import sys
 from .dihedral import Dihedral, padding_bound
 from .errors import BudgetExhausted, PresentationError, StructuralError
 from .monoid import Monoid
-from .multifraction import (
-    Multifraction,
-    apply_reduction,
-    reduction_step_candidates,
-)
+from .multifraction import DEFAULT_LCM_BUDGET, Multifraction, _reduction_children
 from .presentation import parse_presentation
 from .solver import PaddingStrategy, decide, verdict_json
 from .split import split_reduces_to_trivial
@@ -179,18 +175,16 @@ def _dispatch(args) -> int:
         )
 
     if args.command == "reduce":
-        a = Multifraction.from_signed_word(monoid, parse_signed(pres, args.word))
+        entries = Multifraction.from_signed_word(monoid, parse_signed(pres, args.word)).entries
         incomplete = False
         for _ in range(args.max_steps):
-            cands, ok = reduction_step_candidates(a)
+            children, ok = _reduction_children(monoid, entries, DEFAULT_LCM_BUDGET)
             incomplete |= not ok
-            if not cands:
+            if not children:
                 break
-            nxt = apply_reduction(a, cands[0])
-            assert nxt is not None
-            print(cands[0].json_obj())
-            a = nxt
-        print(f"irreducible: {a}")
+            step, entries = children[0]
+            print(step.json_obj())
+        print(f"irreducible: {Multifraction._of(monoid, entries)}")
         return EXIT_UNDETERMINED if incomplete else EXIT_TRIVIAL
 
     if args.command == "split":

@@ -15,7 +15,10 @@ Reduction preserves the represented group element and the depth.  On a
 noetherian monoid it terminates, so the reachable set from any start is
 finite and breadth-first search decides whether the all-trivial
 multifraction is reachable -- which, when reduction is semi-convergent
-(e.g. FC type), decides the word problem.
+(e.g. FC type), decides the word problem.  The search's states are raw
+entry tuples of interned elements, expanded by one kernel that settles
+each lcm once, `_reduction_children`; `Multifraction` objects are built
+only at the API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
 enumeration is budgeted.  A search that had to skip an undetermined lcm
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import BudgetExhausted
 from .monoid import Monoid, MonoidElement
@@ -54,6 +58,10 @@ DEFAULT_LCM_BUDGET = 1_000
 DEFAULT_LCM_MAX_LEN = 512
 
 
+def _wordlength(entries) -> int:
+    return sum(map(len, map(attrgetter("key"), entries)))
+
+
 class Multifraction:
     """An immutable sequence of monoid elements with alternating signs."""
 
@@ -66,13 +74,21 @@ class Multifraction:
         self.monoid = monoid
         self.entries = items
 
+    @classmethod
+    def _of(cls, monoid: Monoid, entries: tuple) -> "Multifraction":
+        """Wrap a nonempty tuple of elements of `monoid`, already interned."""
+        self = object.__new__(cls)
+        self.monoid = monoid
+        self.entries = entries
+        return self
+
     @property
     def depth(self) -> int:
         return len(self.entries)
 
     @property
     def wordlength(self) -> int:
-        return sum(len(e.key) for e in self.entries)
+        return _wordlength(self.entries)
 
     def is_trivial(self) -> bool:
         return self.wordlength == 0
@@ -89,15 +105,14 @@ class Multifraction:
         """Prepend 2p trivial entries; even so the group value is preserved."""
         if p < 0:
             raise ValueError("padding must be nonnegative")
-        one = self.monoid.identity
-        return Multifraction(self.monoid, (one,) * (2 * p) + self.entries)
+        return Multifraction._of(self.monoid, (self.monoid.identity,) * (2 * p) + self.entries)
 
     def strip_trailing_ones(self) -> "Multifraction":
         """Drop trailing trivial entries (used when comparing across depths)."""
         items = list(self.entries)
         while len(items) > 1 and items[-1].is_identity():
             items.pop()
-        return Multifraction(self.monoid, items)
+        return Multifraction._of(self.monoid, tuple(items))
 
     def to_signed_word(self) -> SignedWord:
         """Concatenate canonical entry words with alternating inversion."""
@@ -164,60 +179,62 @@ def apply_reduction(
         raise ValueError("step parameter from a different monoid")
     if not 1 <= i <= a.depth - 1 or x.is_identity():
         return None
-    e = list(a.entries)
+    e = a.entries
     if i == 1:
-        b1 = m.divide("right", x, e[0])
-        b2 = m.divide("right", x, e[1])
-        if b1 is None or b2 is None:
-            return None
-        e[0], e[1] = b1, b2
-    else:
+        b1, b2 = m.divide("right", x, e[0]), m.divide("right", x, e[1])
+        return None if b1 is None or b2 is None else Multifraction._of(m, (b1, b2) + e[2:])
+    side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
+    quot = m.divide(side, x, e[i])
+    data = None if quot is None else m.lcm_data(lcm_side, x, e[i - 1], lcm_budget, DEFAULT_LCM_MAX_LEN)
+    if data is None:
+        return None
+    # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
+    _, comp_x, comp_a = data
+    prev = m.multiply(e[i - 2], comp_a) if side == "left" else m.multiply(comp_a, e[i - 2])
+    return Multifraction._of(m, e[: i - 2] + (prev, comp_x, quot) + e[i + 1 :])
+
+
+def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[list, bool]:
+    """Every (ReductionStep, child entries) of a state, ordered by (i, x).
+
+    These are the children `apply_reduction` gives, from one divisor table
+    read per position and one lcm per candidate.  The flag is False when
+    a candidate was skipped because its lcm ran out of budget.
+    """
+    element, children, complete = m.element, [], True
+    for i in range(1, len(entries)):
+        if not entries[i].key:
+            continue
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
-        quot = m.divide(side, x, e[i])
-        if quot is None:
-            return None
-        data = m.lcm_data(lcm_side, x, e[i - 1], lcm_budget, DEFAULT_LCM_MAX_LEN)
-        if data is None:
-            return None
-        # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
-        _, comp_x, comp_a = data
-        e[i - 2] = m.multiply(e[i - 2], comp_a) if side == "left" else m.multiply(comp_a, e[i - 2])
-        e[i - 1] = comp_x
-        e[i] = quot
-    return Multifraction(m, e)
+        divs, cofactors = m._divisor_table(side, entries[i])  # divs[0] is 1
+        if i == 1:
+            first = m._divisor_table("right", entries[0])[1]
+            children += [(ReductionStep(1, x), (element(first[x]), element(cofactors[x])) + entries[2:])
+                         for x in divs[1:] if x in first]
+            continue
+        prev, cur = entries[i - 2], entries[i - 1]
+        for x in divs[1:]:
+            try:
+                data = m.lcm_data(lcm_side, x, cur, lcm_budget, DEFAULT_LCM_MAX_LEN)
+            except BudgetExhausted:
+                complete = False
+                continue
+            if data is not None:
+                # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
+                _, comp_x, comp_a = data
+                new_prev = element(prev.key + comp_a.key if side == "left" else comp_a.key + prev.key)
+                child = entries[: i - 2] + (new_prev, comp_x, element(cofactors[x])) + entries[i + 1 :]
+                children.append((ReductionStep(i, x), child))
+    return children, complete
 
 
 def reduction_step_candidates(
     a: Multifraction, lcm_budget: int = DEFAULT_LCM_BUDGET
 ) -> tuple[list[ReductionStep], bool]:
-    """All applicable reduction steps, ordered by (i, parameter word).
-
-    Second component is False when some candidate had to be skipped
-    because its lcm ran out of budget, i.e. the list may be incomplete.
-    """
-    m = a.monoid
-    steps: list[ReductionStep] = []
-    complete = True
-    for i in range(1, a.depth):
-        nxt = a.entry(i + 1)
-        if nxt.is_identity():
-            continue
-        if i == 1:
-            first = set(m.divisors("right", a.entry(1)))
-            for x in m.divisors("right", nxt):
-                if not x.is_identity() and x in first:
-                    steps.append(ReductionStep(1, x))
-            continue
-        side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
-        for x in m.divisors(side, nxt):
-            if x.is_identity():
-                continue
-            try:
-                if m.lcm_data(lcm_side, x, a.entry(i), lcm_budget, DEFAULT_LCM_MAX_LEN):
-                    steps.append(ReductionStep(i, x))
-            except BudgetExhausted:
-                complete = False
-    return steps, complete
+    """All applicable reduction steps, ordered by (i, parameter word), and
+    False second when an lcm ran out of budget (the list may be incomplete)."""
+    children, complete = _reduction_children(a.monoid, a.entries, lcm_budget)
+    return [step for step, _ in children], complete
 
 
 @dataclass(frozen=True)
@@ -293,19 +310,12 @@ def search_reduction(
     child ordering make the returned trace the canonical shortest one.
     """
 
-    def successors(cur: Multifraction):
-        cands, ok = reduction_step_candidates(cur, lcm_budget)
-        if not ok:
-            yield None, "lcm budget"
-        for step in cands:
-            child = apply_reduction(cur, step, lcm_budget)
-            if child is not None:
-                yield step, child
+    def successors(entries: tuple) -> list:
+        children, complete = _reduction_children(a.monoid, entries, lcm_budget)
+        return children if complete else [(None, "lcm budget"), *children]
 
-    def is_target(b: Multifraction) -> bool:
-        return b.wordlength <= target_wordlength
-
-    return _search(a, Multifraction.key, successors, is_target, state_budget)
+    return _search(a.entries, lambda e: e, successors,
+                   lambda e: _wordlength(e) <= target_wordlength, state_budget)
 
 
 def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:
@@ -329,9 +339,6 @@ def equal_in_group_fc(
     if res.found:
         return True
     if not res.complete:
-        raise BudgetExhausted(
-            f"equality search undetermined ({res.reason})",
-            states=res.states,
-            steps=res.steps,
-        )
+        raise BudgetExhausted(f"equality search undetermined ({res.reason})",
+                              states=res.states, steps=res.steps)
     return False

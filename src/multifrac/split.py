@@ -80,22 +80,18 @@ def apply_split(a: Multifraction, step: SplitStep) -> Multifraction | None:
     m = a.monoid
     if x.monoid is not m or y.monoid is not m:
         raise ValueError("step parameters from a different monoid")
-    if not 1 <= i <= a.depth - 1:
-        return None
-    if x.is_identity() and y.is_identity():
+    if not 1 <= i <= a.depth - 1 or (x.is_identity() and y.is_identity()):
         return None
     side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
-    b_i = m.divide(side, y, a.entry(i))
-    b_last = m.divide(side, x, a.entry(i + 1))
+    e = a.entries
+    b_i, b_last = m.divide(side, y, e[i - 1]), m.divide(side, x, e[i])
     if b_i is None or b_last is None:
         return None
     data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN)
     if data is None:
         return None
     _, comp_x, comp_y = data
-    e = list(a.entries)
-    e[i - 1 : i + 1] = [b_i, comp_y, comp_x, b_last]
-    return Multifraction(m, e)
+    return Multifraction._of(m, e[: i - 1] + (b_i, comp_y, comp_x, b_last) + e[i + 1 :])
 
 
 def apply_trim(a: Multifraction, step: TrimStep) -> Multifraction | None:
@@ -103,12 +99,9 @@ def apply_trim(a: Multifraction, step: TrimStep) -> Multifraction | None:
     i = step.i
     if not 1 <= i <= a.depth - 2 or not a.entry(i + 1).is_identity():
         return None
-    m = a.monoid
-    lo, hi = a.entry(i), a.entry(i + 2)
-    merged = m.multiply(lo, hi) if i % 2 == 1 else m.multiply(hi, lo)
-    e = list(a.entries)
-    e[i - 1 : i + 2] = [merged]
-    return Multifraction(m, e)
+    m, e = a.monoid, a.entries
+    merged = m.multiply(e[i - 1], e[i + 1]) if i % 2 == 1 else m.multiply(e[i + 1], e[i - 1])
+    return Multifraction._of(m, e[: i - 1] + (merged,) + e[i + 2 :])
 
 
 def apply_split_or_trim(a: Multifraction, step) -> Multifraction | None:

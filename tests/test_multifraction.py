@@ -3,6 +3,8 @@ import random
 import pytest
 
 from multifrac import (
+    ArtinPresentation,
+    BudgetExhausted,
     Monoid,
     Multifraction,
     ReductionStep,
@@ -11,6 +13,7 @@ from multifrac import (
     reduces_to_trivial,
     reduction_step_candidates,
 )
+from multifrac.multifraction import _reduction_children
 from multifrac.words import parse_signed
 
 from oracles import (
@@ -19,7 +22,10 @@ from oracles import (
     braid_pair,
     random_identity_word,
     random_signed_word,
+    signed_words_up_to,
 )
+
+A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +142,62 @@ def test_reduction_candidates(a2):
     assert complete and [(s.i, str(s.x)) for s in steps] == [(1, "b")]
     steps, _ = reduction_step_candidates(mf(a2, "", "a", "ba"))
     assert [(s.i, str(s.x)) for s in steps] == [(2, "b"), (2, "ba")]
+
+
+def _applied_children(a, lcm_budget):
+    """The oracle: apply_reduction over every i and nontrivial divisor x of
+    a_{i+1} on the rule's side, dropping (and flagging) budget trips."""
+    m = a.monoid
+    children, complete = [], True
+    for i in range(1, a.depth):
+        side = "left" if i % 2 == 0 else "right"
+        for x in m.divisors(side, a.entry(i + 1)):
+            if x.is_identity():
+                continue
+            step = ReductionStep(i, x)
+            try:
+                b = apply_reduction(a, step, lcm_budget)
+            except BudgetExhausted:
+                complete = False
+                continue
+            if b is not None:
+                children.append((step, b.entries))
+    return children, complete
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [(braid_pair(3), 4), (braid_pair(4), 4), (A3, 3), (all_threes(), 3)],
+    ids=["I2(3)", "I2(4)", "A3", "A2~"],
+)
+def test_reduction_children_match_apply_reduction(pres, max_len):
+    mon = Monoid(pres)
+    for w in signed_words_up_to(pres, max_len):
+        a = Multifraction.from_signed_word(mon, w)
+        for p in (0, 1, 2):
+            start = a.pad(p)
+            want = _applied_children(start, 1000)
+            assert _reduction_children(mon, start.entries, 1000) == want, (w, p)
+            steps, complete = reduction_step_candidates(start)
+            assert (steps, complete) == ([s for s, _ in want[0]], want[1])
+
+
+def test_reduction_children_skip_unsettled_lcms():
+    def start():
+        # a fresh Monoid, so that no lcm was settled under another budget
+        return Multifraction(Monoid(all_threes()), ("", "", "ab", "ba"))
+
+    def named(children):
+        return [(s.i, str(s.x), tuple(map(str, e))) for s, e in children]
+
+    a = start()
+    full, full_complete = _reduction_children(a.monoid, a.entries, 1000)
+    a = start()
+    got, complete = _reduction_children(a.monoid, a.entries, 1)
+    want, want_complete = _applied_children(start(), 1)
+    assert full_complete and not complete and not want_complete
+    assert named(got) == named(want)
+    assert 0 < len(got) < len(full)
 
 
 def test_reduces_to_trivial(a2):

@@ -180,9 +180,42 @@ def test_cli_proph_split_reduce(a2_file, capsys):
     assert main(["proph", "--presentation", a2_file, "ab"]) == 2
     capsys.readouterr()
     assert main(["split", "--presentation", a2_file, "abaBAB"]) == 0
+    capsys.readouterr()
     assert main(["reduce", "--presentation", a2_file, "abaBAB"]) == 0
-    out = capsys.readouterr().out
-    assert "irreducible: 1/1" in out
+    assert capsys.readouterr().out == (
+        "{'rule': 'R', 'i': 1, 'x': 'a'}\n"
+        "{'rule': 'R', 'i': 1, 'x': 'b'}\n"
+        "{'rule': 'R', 'i': 1, 'x': 'a'}\n"
+        "irreducible: 1/1\n"
+    )
+
+
+QUADRATIC_JSON = {
+    ("A2", "abAB"): '{"version":1,"presentation":{"generators":["a","b"],"labels":[["a","b",3]]},'
+    '"input":"abAB","padding":18,"answer":"undetermined","trace":[],'
+    '"stats":{"states":1000,"steps":3119},"reason":"state budget"}',
+    ("A2", "aaBB"): '{"version":1,"presentation":{"generators":["a","b"],"labels":[["a","b",3]]},'
+    '"input":"aaBB","padding":18,"answer":"undetermined","trace":[],'
+    '"stats":{"states":1000,"steps":2587},"reason":"state budget"}',
+    ("A2", "aB"): '{"version":1,"presentation":{"generators":["a","b"],"labels":[["a","b",3]]},'
+    '"input":"aB","padding":6,"answer":"undetermined","trace":[],'
+    '"stats":{"states":1000,"steps":3473},"reason":"state budget"}',
+    ("A2T", "abcABC"): '{"version":1,"presentation":{"generators":["a","b","c"],'
+    '"labels":[["a","b",3],["a","c",3],["b","c",3]]},"input":"abcABC","padding":36,'
+    '"answer":"undetermined","trace":[],"stats":{"states":1000,"steps":2725},'
+    '"reason":"state budget"}',
+}
+
+
+@pytest.mark.parametrize("pres, word", list(QUADRATIC_JSON), ids=lambda v: v)
+def test_cli_quadratic_json_bytes(pres, word, tmp_path, capsys):
+    # the words every padded-quadratic benchmark run must answer
+    f = tmp_path / "pres.txt"
+    f.write_text({"A2": A2_TEXT, "A2T": A2T_TEXT}[pres])
+    argv = ["solve", "--presentation", str(f), word, "--strategy", "quadratic", "--json",
+            "--state-budget", "1000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.encode() == QUADRATIC_JSON[pres, word].encode() + b"\n"
 
 
 def test_cli_usage_errors(a2_file, capsys):
