@@ -177,11 +177,11 @@ class Monoid:
         side="left" reads d*c = x off the prefixes of x's class members,
         side="right" reads c*d = x off their suffixes.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        self._check(x)
         table = self._divisors.get((side, x))
-        if table is None:
+        if table is None:  # a cached key was validated when it was stored
+            if side not in ("left", "right"):
+                raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+            self._check(x)
             cofactors: dict[MonoidElement, bytes] = {}
             for w in x.cls:
                 n = len(w)
@@ -278,12 +278,13 @@ class Monoid:
         side="right": x*c_x = y*c_y = lcm  (c_x = x\\y, c_y = y\\x);
         side="left":  c_x*x = c_y*y = lcm  (c_x = y/x, c_y = x/y).
         """
-        self._check(x, y)
-        if side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         key = (side, x, y)
         hit = self._lcm_cache.get(key)
-        if hit is not None:
+        if hit is None:  # a cached key was validated when it was stored
+            self._check(x, y)
+            if side not in ("right", "left"):
+                raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        else:
             if hit[0] == "ok":
                 return hit[1]
             if hit[0] == "absent":
@@ -293,10 +294,7 @@ class Monoid:
             no_looser_steps = budget <= tried_budget
             no_looser_len = tried_len is None or (max_len is not None and max_len <= tried_len)
             if no_looser_steps and no_looser_len:
-                raise BudgetExhausted(
-                    f"{side}-lcm of {x} and {y} undetermined within budget",
-                    steps=tried_budget,
-                )
+                raise BudgetExhausted(hit[3], steps=tried_budget)
         if side == "right":
             word: SignedWord = signed_of_positive(x.key, -1) + signed_of_positive(y.key)
         else:
@@ -304,7 +302,9 @@ class Monoid:
         try:
             terminal = reverse_full(self.presentation, side, word, budget, max_len).word
         except BudgetExhausted:
-            self._lcm_cache[key] = ("budget", budget, max_len)
+            # the replay message is formatted once: searches re-raise it often
+            message = f"{side}-lcm of {x} and {y} undetermined within budget"
+            self._lcm_cache[key] = ("budget", budget, max_len, message)
             raise
         split = split_terminal(side, terminal)
         if split is None:

@@ -13,6 +13,11 @@ terminate in general (there are loops already over the three-generator
 all-threes presentation), so searches here are always budget-bound and
 only a positive answer is definitive.
 
+The search's states are raw entry tuples of interned elements, expanded
+by one kernel, `_split_children`, that reads each entry's divisor table
+once per position, settles each lcm once and builds each child by tuple
+slicing; `Multifraction` objects are built only at the API boundary.
+
 The two `simulate_*` translations implement the constructive equivalence
 between split reduction and reduction-after-padding: one ordinary
 reduction step is two split steps (split off the whole entry, then trim),
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted
-from .monoid import MonoidElement
+from .monoid import Monoid, MonoidElement
 from .multifraction import (
     DEFAULT_LCM_BUDGET,
     DEFAULT_LCM_MAX_LEN,
@@ -33,6 +38,7 @@ from .multifraction import (
     ReductionStep,
     SearchResult,
     _search,
+    _wordlength,
     apply_reduction,
 )
 
@@ -112,28 +118,48 @@ def apply_split_or_trim(a: Multifraction, step) -> Multifraction | None:
     raise TypeError(f"not a split-system step: {step!r}")
 
 
-def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
-    """All applicable trim and split steps, deterministically ordered."""
-    m = a.monoid
-    steps: list = []
-    complete = True
-    for i in range(1, a.depth - 1):
-        if a.entry(i + 1).is_identity():
-            steps.append(TrimStep(i))
-    for i in range(1, a.depth):
+def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
+    """Every (step, child entries) of a state: trims by i, then splits by (i, y, x).
+
+    These are the children `apply_trim` and `apply_split` give, from one
+    read of both divisor tables per position and one lcm per divisor pair.
+    The flag is False when a pair was skipped because its lcm ran out of
+    budget.
+    """
+    element, one, children, complete = m.element, m.identity, [], True
+    for i in range(1, len(entries) - 1):
+        if entries[i] is one:
+            a, c = entries[i - 1].key, entries[i + 1].key
+            merged = element(a + c if i % 2 == 1 else c + a)
+            children.append((TrimStep(i), entries[: i - 1] + (merged,) + entries[i + 2 :]))
+    for i in range(1, len(entries)):
+        a_i, a_next = entries[i - 1], entries[i]
+        if a_i is one and a_next is one:
+            continue  # the only divisor pair is (1, 1), which is no step
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
-        ys = m.divisors(side, a.entry(i))
-        xs = m.divisors(side, a.entry(i + 1))
+        ys, y_cofactors = m._divisor_table(side, a_i)  # ys[0] is 1
+        xs, x_cofactors = m._divisor_table(side, a_next)  # xs[0] is 1
+        head, tail = entries[: i - 1], entries[i + 1 :]
         for y in ys:
-            for x in xs:
-                if x.is_identity() and y.is_identity():
-                    continue
+            b_i = a_i if y is one else element(y_cofactors[y])
+            for x in xs[1:] if y is one else xs:
                 try:
-                    if m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN):
-                        steps.append(SplitStep(i, x, y))
+                    data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN)
                 except BudgetExhausted:
                     complete = False
-    return steps, complete
+                    continue
+                if data is not None:
+                    _, comp_x, comp_y = data
+                    b_last = a_next if x is one else element(x_cofactors[x])
+                    children.append((SplitStep(i, x, y), head + (b_i, comp_y, comp_x, b_last) + tail))
+    return children, complete
+
+
+def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
+    """All applicable trim and split steps, trims by i then splits by
+    (i, y, x), and False second when an lcm ran out of budget."""
+    children, complete = _split_children(a.monoid, a.entries)
+    return [step for step, _ in children], complete
 
 
 def split_reduces_to_trivial(
@@ -153,25 +179,18 @@ def split_reduces_to_trivial(
     """
     if max_depth is None:
         max_depth = 2 * a.depth + 12
+    m = a.monoid
 
-    def successors(cur: Multifraction):
-        cands, ok = split_step_candidates(cur)
-        if not ok:
-            yield None, "lcm budget"
-        for step in cands:
-            split = isinstance(step, SplitStep)
-            child = apply_split_or_trim(cur, step) if split else apply_trim(cur, step)
-            if child is None:
-                continue
-            if child.depth > max_depth:
-                yield None, "depth cap"
-            else:
-                yield step, child
+    def successors(entries: tuple) -> list:
+        # the kernel settles every lcm even at the cap, so that an lcm
+        # budget trip there still outranks the depth cap
+        children, complete = _split_children(m, entries)
+        if len(entries) + 2 > max_depth:  # a split adds two entries, a trim drops two
+            children = [(s, c) if len(c) <= max_depth else (None, "depth cap") for s, c in children]
+        return children if complete else [(None, "lcm budget"), *children]
 
-    def priority(b: Multifraction) -> tuple[int, int]:
-        return b.wordlength, b.depth
-
-    return _search(a, Multifraction.key, successors, Multifraction.is_trivial, state_budget, priority)
+    return _search(a.entries, lambda e: e, successors, lambda e: _wordlength(e) == 0,
+                   state_budget, lambda e: (_wordlength(e), len(e)))
 
 
 def simulate_reduction_by_splits(a: Multifraction, step: ReductionStep) -> list:

@@ -7,8 +7,12 @@ reversing, and one step of left reversing.  All four preserve the
 represented group element, so emptying a word certifies that it represents
 the identity.
 
-`special_neighbors` enumerates single steps; with `max_len` set it drops
-results longer than the cap.  The reachability search uses the cap
+`special_neighbors` enumerates single steps on raw signed-word tuples in
+one in-order scan of the word's length-2 factors: a factor's first two
+letters pick out the one relation factor that can start there, and a
+reversing step can only apply where the sign changes, so nothing is tried
+twice and nothing is sorted.  With `max_len` set it drops results longer
+than the cap.  The reachability search uses the cap
 len(word) by default: equivalences preserve length, reversing deletions
 shrink by two, and commutation reversings preserve, so under the cap the
 reachable set is finite and the search is exhaustive without any budget at
@@ -26,7 +30,7 @@ from .monoid import Monoid
 from .multifraction import SearchResult, _search
 from .presentation import ArtinPresentation
 from .reversing import reverse_step
-from .words import SignedWord, signed_of_positive, signed_str
+from .words import SignedWord, invert, signed_of_positive, signed_str
 
 __all__ = ["WordStep", "special_neighbors", "apply_word_step", "search_empty_word"]
 
@@ -49,22 +53,29 @@ class WordStep:
 
 
 @lru_cache(maxsize=None)
-def _equivalence_factors(pres: ArtinPresentation) -> tuple[tuple[str, SignedWord, SignedWord], ...]:
-    """(rule, factor, replacement) triples for single relation applications."""
-    out = []
+def _relation_factors(pres: ArtinPresentation) -> dict[tuple[int, int], tuple[str, SignedWord, SignedWord]]:
+    """(rule, factor, replacement) of each single relation application,
+    keyed by the factor's first two letters.
+
+    Those two letters fix the generator pair and which of its two
+    alternating words the factor is, and a presentation has one relation
+    per pair, so the key is unique.
+    """
+    out = {}
     for rel in pres.relations():
         lhs = signed_of_positive(pres.encode(rel.lhs))
         rhs = signed_of_positive(pres.encode(rel.rhs))
         for u, v in ((lhs, rhs), (rhs, lhs)):
-            out.append(("pos", u, v))
-            out.append(("neg", tuple(-c for c in reversed(u)), tuple(-c for c in reversed(v))))
-    return tuple(out)
+            out[u[:2]] = ("pos", u, v)
+            out[invert(u)[:2]] = ("neg", invert(u), invert(v))
+    return out
 
 
 def special_neighbors(
     monoid: Monoid, word: SignedWord, max_len: int | None = None
 ) -> list[tuple[WordStep, SignedWord]]:
-    """All single special steps from `word`, deterministically ordered.
+    """All single special steps from `word`: "pos", then "neg", then
+    "rrev", then "lrev" steps, each kind by position.
 
     A positive (negative) factor matching one side of a relation is always
     contained in a maximal positive (negative) run, so plain subword search
@@ -73,25 +84,25 @@ def special_neighbors(
     """
     pres = monoid.presentation
     word = tuple(word)
-    out: list[tuple[WordStep, SignedWord]] = []
-
-    def emit(step: WordStep, w: SignedWord):
-        if max_len is None or len(w) <= max_len:
-            out.append((step, w))
-
-    for rule, fac, rep in _equivalence_factors(pres):
-        n = len(fac)
-        for k in range(len(word) - n + 1):
+    factors = _relation_factors(pres)
+    found = {"pos": [], "neg": [], "rrev": [], "lrev": []}
+    for k, pair in enumerate(zip(word, word[1:])):
+        hit = factors.get(pair)
+        if hit is not None:
+            rule, fac, rep = hit
+            n = len(fac)
             if word[k : k + n] == fac:
-                emit(WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :])
-    for rule, side in (("rrev", "right"), ("lrev", "left")):
-        for k in range(len(word) - 1):
+                found[rule].append((WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :]))
+        elif (pair[0] > 0) != (pair[1] > 0):
+            # right reversing rewrites s^-1 t, left reversing s t^-1
+            rule, side = ("rrev", "right") if pair[0] < 0 else ("lrev", "left")
             res = reverse_step(pres, side, word, k)
             if res is not None:
-                emit(WordStep(rule, k), res)
-    order = {"pos": 0, "neg": 1, "rrev": 2, "lrev": 3}
-    out.sort(key=lambda item: (order[item[0].rule], item[0].at, item[0].factor_to))
-    return out
+                found[rule].append((WordStep(rule, k), res))
+    out = found["pos"] + found["neg"] + found["rrev"] + found["lrev"]
+    if max_len is None:
+        return out
+    return [item for item in out if len(item[1]) <= max_len]
 
 
 def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedWord:
@@ -101,11 +112,8 @@ def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedW
         n = len(step.factor_from)
         if word[step.at : step.at + n] != step.factor_from:
             raise ValueError(f"factor mismatch for {step} in {word}")
-        found = any(
-            fac == step.factor_from and rep == step.factor_to
-            for _, fac, rep in _equivalence_factors(monoid.presentation)
-        )
-        if not found:
+        hit = _relation_factors(monoid.presentation).get(step.factor_from[:2])
+        if hit is None or hit[1:] != (step.factor_from, step.factor_to):
             raise ValueError(f"{step} is not a single relation application")
         return word[: step.at] + step.factor_to + word[step.at + n :]
     if step.rule in ("rrev", "lrev"):

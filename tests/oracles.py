@@ -5,17 +5,21 @@ recomputed by a string-level saturation, lcms by enumerating bounded
 multiple sets, and group equality over a single labelled pair by normal
 forms in the central extension  < x, y | x^2 = y^m >  (m odd)  resp.
 < x, y | x^(m/2) central >  (m even), both of which are the enveloping
-group of the two-generator Artin-Tits monoid.
+group of the two-generator Artin-Tits monoid.  Special transformations are
+enumerated by trying every relation factor and every reversing position,
+then sorting.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
-from multifrac import Monoid, MonoidElement
+from multifrac import Monoid, MonoidElement, WordStep
 from multifrac.presentation import ArtinPresentation, alternating_word
-from multifrac.words import SignedWord, free_reduce, invert, parse_signed
+from multifrac.reversing import reverse_step
+from multifrac.words import SignedWord, free_reduce, invert, parse_signed, signed_of_positive
 
 
 # -- string-level congruence closure (independent of the package kernel) ----
@@ -316,3 +320,51 @@ def signed_words_up_to(pres: ArtinPresentation, max_len: int):
     for length in range(max_len + 1):
         for combo in product(letters, repeat=length):
             yield combo
+
+
+# -- special transformations by trying every position, then sorting ---------
+
+@lru_cache(maxsize=None)
+def _equivalence_factors(pres: ArtinPresentation) -> tuple[tuple[str, SignedWord, SignedWord], ...]:
+    """(rule, factor, replacement) triples for single relation applications."""
+    out = []
+    for rel in pres.relations():
+        lhs = signed_of_positive(pres.encode(rel.lhs))
+        rhs = signed_of_positive(pres.encode(rel.rhs))
+        for u, v in ((lhs, rhs), (rhs, lhs)):
+            out.append(("pos", u, v))
+            out.append(("neg", tuple(-c for c in reversed(u)), tuple(-c for c in reversed(v))))
+    return tuple(out)
+
+
+def naive_special_neighbors(
+    monoid: Monoid, word: SignedWord, max_len: int | None = None
+) -> list[tuple[WordStep, SignedWord]]:
+    """All single special steps from `word`, deterministically ordered.
+
+    A positive (negative) factor matching one side of a relation is always
+    contained in a maximal positive (negative) run, so plain subword search
+    enumerates exactly the one-relation equivalence steps.  `max_len`
+    filters out results longer than the cap; None keeps everything.
+    """
+    pres = monoid.presentation
+    word = tuple(word)
+    out: list[tuple[WordStep, SignedWord]] = []
+
+    def emit(step: WordStep, w: SignedWord):
+        if max_len is None or len(w) <= max_len:
+            out.append((step, w))
+
+    for rule, fac, rep in _equivalence_factors(pres):
+        n = len(fac)
+        for k in range(len(word) - n + 1):
+            if word[k : k + n] == fac:
+                emit(WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :])
+    for rule, side in (("rrev", "right"), ("lrev", "left")):
+        for k in range(len(word) - 1):
+            res = reverse_step(pres, side, word, k)
+            if res is not None:
+                emit(WordStep(rule, k), res)
+    order = {"pos": 0, "neg": 1, "rrev": 2, "lrev": 3}
+    out.sort(key=lambda item: (order[item[0].rule], item[0].at, item[0].factor_to))
+    return out

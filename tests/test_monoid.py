@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from multifrac import ArtinPresentation, BudgetExhausted, Monoid, kernel_backend
-from multifrac.monoid import congruence_class
+from multifrac.monoid import MonoidElement, congruence_class
 
 from oracles import MultipleSets, all_threes, braid_pair, naive_class
 
@@ -228,6 +228,24 @@ def test_lcm_budget_exhaustion_distinct_from_absent():
         mon.lcm("right", x, y, budget=300, max_len=128)
     ms = MultipleSets(mon)
     assert ms.brute_lcm("right", x, y, 9) is None
+
+
+def test_lcm_budget_replay_formats_no_message(monkeypatch):
+    mon = Monoid(all_threes())
+    x, y = mon.element("ab"), mon.element("c")
+    with pytest.raises(BudgetExhausted):
+        mon.lcm_data("right", x, y, budget=300, max_len=128)
+    calls = []
+    plain_str = MonoidElement.__str__
+    monkeypatch.setattr(MonoidElement, "__str__", lambda el: calls.append(el) or plain_str(el))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(BudgetExhausted) as info:
+            mon.lcm_data("right", x, y, budget=300, max_len=128)
+        messages.append(str(info.value))
+        assert info.value.stats == {"steps": 300}
+    assert calls == []
+    assert messages == ["right-lcm of ab and c undetermined within budget"] * 2
 
 
 def test_lcm_agrees_with_brute_force_on_existing(a2):

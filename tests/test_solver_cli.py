@@ -175,12 +175,28 @@ def test_cli_nf_pair_flag(a2t_file, capsys):
     assert capsys.readouterr().out.strip() == "(a)(1)^-1"
 
 
+PROPH_SPLIT_STDOUT = {
+    ("proph", "abaBAB"): (0, (
+        "{'rule': 'pos', 'at': 0, 'from': 'aba', 'to': 'bab'}\n"
+        "{'rule': 'lrev', 'at': 2}\n"
+        "{'rule': 'lrev', 'at': 1}\n"
+        "{'rule': 'lrev', 'at': 0}\n"
+        "empty word reached (states 9)\n"
+    )),
+    ("proph", "ab"): (2, "not emptied (states 1)\n"),
+    ("proph", "abaBAB", "--state-budget", "3"): (2, "not emptied (states 3, state budget)\n"),
+    ("split", "abaBAB"): (0, (
+        "{'rule': 'S', 'i': 1, 'x': 'aba', 'y': 'aba'}\n"
+        "trivial (states 36, steps 35)\n"
+    )),
+    ("split", "abAB", "--max-depth", "4"): (2, "not found (states 9, steps 12, depth cap)\n"),
+}
+
+
 def test_cli_proph_split_reduce(a2_file, capsys):
-    assert main(["proph", "--presentation", a2_file, "abaBAB"]) == 0
-    assert main(["proph", "--presentation", a2_file, "ab"]) == 2
-    capsys.readouterr()
-    assert main(["split", "--presentation", a2_file, "abaBAB"]) == 0
-    capsys.readouterr()
+    for (command, *rest), want in PROPH_SPLIT_STDOUT.items():
+        code = main([command, "--presentation", a2_file, *rest])
+        assert (code, capsys.readouterr().out) == want, (command, *rest)
     assert main(["reduce", "--presentation", a2_file, "abaBAB"]) == 0
     assert capsys.readouterr().out == (
         "{'rule': 'R', 'i': 1, 'x': 'a'}\n"

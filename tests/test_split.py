@@ -3,6 +3,8 @@ import random
 import pytest
 
 from multifrac import (
+    ArtinPresentation,
+    BudgetExhausted,
     Monoid,
     Multifraction,
     SplitStep,
@@ -16,10 +18,16 @@ from multifrac import (
     simulate_splits_by_padded_reduction,
     split_reduces_to_trivial,
 )
-from multifrac.split import apply_split_or_trim, split_step_candidates
+from multifrac.split import _split_children, apply_split_or_trim, split_step_candidates
 from multifrac.words import parse_signed
 
-from oracles import all_threes, braid_pair, random_identity_word, random_signed_word
+from oracles import (
+    all_threes,
+    braid_pair,
+    random_identity_word,
+    random_signed_word,
+    signed_words_up_to,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +102,61 @@ def test_trim_examples(a2t):
     assert apply_trim(mf(a2t, "a", "b", "", "c"), TrimStep(2)) == mf(a2t, "a", "cb")
     assert apply_trim(mf(a2t, "a", "b", "c"), TrimStep(1)) is None  # entry not trivial
     assert apply_trim(mf(a2t, "a", ""), TrimStep(1)) is None  # too deep
+
+
+def _applied_children(a):
+    """The oracle: apply_trim at every i, then apply_split at every i with
+    every divisor pair (y of a_i, x of a_{i+1}) on the rule's side, dropping
+    (and flagging) budget trips."""
+    m = a.monoid
+    children, complete = [], True
+    for i in range(1, a.depth):
+        b = apply_trim(a, TrimStep(i))
+        if b is not None:
+            children.append((TrimStep(i), b.entries))
+    for i in range(1, a.depth):
+        side = "left" if i % 2 == 0 else "right"
+        for y in m.divisors(side, a.entry(i)):
+            for x in m.divisors(side, a.entry(i + 1)):
+                step = SplitStep(i, x, y)
+                try:
+                    b = apply_split(a, step)
+                except BudgetExhausted:
+                    complete = False
+                    continue
+                if b is not None:
+                    children.append((step, b.entries))
+    return children, complete
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [
+        (braid_pair(3), 4),
+        (braid_pair(4), 4),
+        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 3),
+        (all_threes(), 3),
+    ],
+    ids=["I2(3)", "I2(4)", "A3", "A2~"],
+)
+def test_split_children_match_apply_split_and_trim(pres, max_len):
+    mon = Monoid(pres)
+    for w in signed_words_up_to(pres, max_len):
+        a = Multifraction.from_signed_word(mon, w)
+        for p in (0, 1):
+            start = a.pad(p)
+            want = _applied_children(start)
+            assert _split_children(mon, start.entries) == want, (w, p)
+            steps, complete = split_step_candidates(start)
+            assert (steps, complete) == ([s for s, _ in want[0]], want[1])
+
+
+def test_split_children_skip_unsettled_lcms(a2t):
+    # abc/cba, the start of abcABC: some lcm there trips the default budget
+    a = Multifraction.from_signed_word(a2t, parse_signed(a2t.presentation, "abcABC"))
+    children, complete = _split_children(a2t, a.entries)
+    assert not complete and children
+    assert (children, complete) == _applied_children(a)
 
 
 def test_split_search_trivial_cases(a2, a2t):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from multifrac import (
+    ArtinPresentation,
     Monoid,
     apply_word_step,
     equal_in_group_fc,
@@ -15,8 +16,10 @@ from oracles import (
     DihedralGroupOracle,
     all_threes,
     braid_pair,
+    naive_special_neighbors,
     random_identity_word,
     random_signed_word,
+    signed_words_up_to,
 )
 
 
@@ -43,7 +46,7 @@ def test_negative_equivalence(a2):
 
 
 def test_commutation_reversing_survives_the_length_cap():
-    mon = Monoid(__import__("multifrac").ArtinPresentation("ab", {("a", "b"): 2}))
+    mon = Monoid(ArtinPresentation("ab", {("a", "b"): 2}))
     w = parse_signed(mon.presentation, "Ab")
     capped = special_neighbors(mon, w, max_len=len(w))
     assert ("bA") in {signed_str(mon.presentation, u) for _, u in capped}
@@ -54,6 +57,23 @@ def test_growing_rewrites_only_without_cap(a2):
     w = parse_signed(p, "Ab")
     assert words(a2, special_neighbors(a2, w)) == {"baBA"}
     assert special_neighbors(a2, w, max_len=len(w)) == []
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [
+        (braid_pair(3), 6),
+        (braid_pair(4), 6),
+        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 5),
+        (all_threes(), 5),
+    ],
+    ids=["I2(3)", "I2(4)", "A3", "A2~"],
+)
+def test_neighbors_match_sorted_scan_of_every_position(pres, max_len):
+    mon = Monoid(pres)
+    for w in signed_words_up_to(pres, max_len):
+        for cap in (None, len(w)):
+            assert special_neighbors(mon, w, max_len=cap) == naive_special_neighbors(mon, w, cap), (w, cap)
 
 
 def test_neighbors_preserve_class_and_cap_respects_length(a2):
