@@ -8,7 +8,6 @@ from .multifraction import (
     ReductionStep,
     SearchResult,
     apply_reduction,
-    equal_in_group_fc,
     reduces_to_trivial,
     reduction_step_candidates,
     search_reduction,
@@ -24,7 +23,7 @@ from .split import (
 )
 from .transforms import WordStep, apply_word_step, search_empty_word, special_neighbors
 from .dihedral import Dihedral, FractionPair, padding_bound
-from .solver import PaddingStrategy, Verdict, decide, verdict_json
+from .solver import PaddingStrategy, Verdict, decide, equal_in_group_fc, verdict_json
 
 __version__ = "0.1.0"
 

@@ -34,7 +34,7 @@ from operator import attrgetter
 
 from .errors import BudgetExhausted
 from .monoid import Monoid, MonoidElement
-from .words import SignedWord, invert, runs, signed_of_positive
+from .words import SignedWord, runs, signed_of_positive
 
 __all__ = [
     "Multifraction",
@@ -44,7 +44,6 @@ __all__ = [
     "reduction_step_candidates",
     "search_reduction",
     "reduces_to_trivial",
-    "equal_in_group_fc",
     "DEFAULT_STATE_BUDGET",
     "DEFAULT_LCM_BUDGET",
     "DEFAULT_LCM_MAX_LEN",
@@ -322,23 +321,3 @@ def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:
     """Is the all-trivial multifraction of the same depth reachable from a?"""
     return search_reduction(a, target_wordlength=0, **budgets)
 
-
-def equal_in_group_fc(
-    monoid: Monoid, w1: SignedWord, w2: SignedWord, **budgets
-) -> bool:
-    """Group equality oracle, valid when reduction is convergent (FC type).
-
-    Decides cl(w1) = cl(w2) by searching the reduction graph of the
-    multifraction of w1 * invert(w2).  The caller asserts the presentation
-    is of FC type; on other presentations a False answer is meaningless.
-    Raises BudgetExhausted if the search could not be completed.
-    """
-    word = tuple(w1) + invert(tuple(w2))
-    a = Multifraction.from_signed_word(monoid, word)
-    res = reduces_to_trivial(a, **budgets)
-    if res.found:
-        return True
-    if not res.complete:
-        raise BudgetExhausted(f"equality search undetermined ({res.reason})",
-                              states=res.states, steps=res.steps)
-    return False

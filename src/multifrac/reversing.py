@@ -91,14 +91,10 @@ def reverse_step(
 
 @dataclass(frozen=True)
 class ReversalResult:
-    """Terminal word of a completed reversing run plus the step log."""
+    """Terminal word of a completed reversing run and its step count."""
 
     word: SignedWord
-    positions: tuple[int, ...]
-
-    @property
-    def steps(self) -> int:
-        return len(self.positions)
+    steps: int
 
 
 def reverse_full(
@@ -118,7 +114,7 @@ def reverse_full(
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     table = _tables(pres, side)
     w = list(word)
-    log: list[int] = []
+    steps = 0
     scan = 0  # everything left of `scan` is known inapplicable
     while True:
         pos = -1
@@ -127,20 +123,20 @@ def reverse_full(
                 pos = k
                 break
         if pos < 0:
-            return ReversalResult(tuple(w), tuple(log))
-        if len(log) >= budget:
+            return ReversalResult(tuple(w), steps)
+        if steps >= budget:
             raise BudgetExhausted(
                 f"{side} reversing did not settle within {budget} steps",
-                steps=len(log),
+                steps=steps,
                 word_length=len(w),
             )
         rep = table[(w[pos], w[pos + 1])]
         w[pos : pos + 2] = rep
-        log.append(pos)
+        steps += 1
         if max_len is not None and len(w) > max_len:
             raise BudgetExhausted(
                 f"{side} reversing exceeded the word-length cap {max_len}",
-                steps=len(log),
+                steps=steps,
                 word_length=len(w),
             )
         # a rewrite can only create new factors adjacent to the spot it touched

@@ -13,7 +13,8 @@ strategy together are known complete:
     least the quadratic bound 3*l*(l+2)/4 for the instance.
 
 Everything else is "undetermined" -- never coerced to a boolean, since
-semi-convergence of reduction is open in general.
+semi-convergence of reduction is open in general.  `decide` is the only
+place that rule is stated; `equal_in_group_fc` reads its verdict.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .multifraction import (
     apply_reduction,
     reduces_to_trivial,
 )
-from .errors import StructuralError
-from .words import SignedWord, parse_signed
+from .errors import BudgetExhausted, StructuralError
+from .words import SignedWord, invert, parse_signed
 
-__all__ = ["PaddingStrategy", "Verdict", "decide", "verdict_json"]
+__all__ = ["PaddingStrategy", "Verdict", "decide", "equal_in_group_fc", "verdict_json"]
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,23 @@ def decide(
     if res.complete and not complete_class:
         reason = "search exhausted, but completeness is not established for this presentation/strategy"
     return Verdict("undetermined", p, (), res.states, res.steps, reason)
+
+
+def equal_in_group_fc(
+    monoid: Monoid, w1: SignedWord, w2: SignedWord, **budgets
+) -> bool:
+    """Group equality oracle, valid when reduction is convergent (FC type).
+
+    Decides cl(w1) = cl(w2) as `decide(w1 * invert(w2), assume_fc=True)`:
+    the caller asserts the presentation is of FC type; on other
+    presentations a False answer is meaningless.  Raises BudgetExhausted
+    when the verdict is undetermined.
+    """
+    v = decide(monoid, tuple(w1) + invert(tuple(w2)), assume_fc=True, **budgets)
+    if v.answer == "undetermined":
+        raise BudgetExhausted(f"equality search undetermined ({v.reason})",
+                              states=v.states, steps=v.steps)
+    return v.answer == "trivial"
 
 
 def verdict_json(monoid: Monoid, word_text: str, verdict: Verdict) -> str:

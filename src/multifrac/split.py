@@ -189,7 +189,10 @@ def split_reduces_to_trivial(
             children = [(s, c) if len(c) <= max_depth else (None, "depth cap") for s, c in children]
         return children if complete else [(None, "lcm budget"), *children]
 
-    return _search(a.entries, lambda e: e, successors, lambda e: _wordlength(e) == 0,
+    # the target test compares entries with 1 by identity, so each admitted
+    # state's word-length is computed once, for its priority
+    one = m.identity
+    return _search(a.entries, lambda e: e, successors, lambda e: e.count(one) == len(e),
                    state_budget, lambda e: (_wordlength(e), len(e)))
 
 

@@ -12,13 +12,13 @@ one in-order scan of the word's length-2 factors: a factor's first two
 letters pick out the one relation factor that can start there, and a
 reversing step can only apply where the sign changes, so nothing is tried
 twice and nothing is sorted.  With `max_len` set it drops results longer
-than the cap.  The reachability search uses the cap
-len(word) by default: equivalences preserve length, reversing deletions
-shrink by two, and commutation reversings preserve, so under the cap the
-reachable set is finite and the search is exhaustive without any budget at
-desk scale.  (Unrestricted reversing rewrites over labels m >= 3 grow a
-word and are available via max_len=None, but the search does not need
-them on the presentations this package targets with this engine.)
+than the cap.  The reachability search always uses the cap len(word):
+equivalences preserve length, reversing deletions shrink by two, and
+commutation reversings preserve, so under the cap the reachable set is
+finite and the search is exhaustive without any budget at desk scale.
+(Unrestricted reversing rewrites over labels m >= 3 grow a word and are
+available from `special_neighbors` with max_len=None, but the search does
+not need them on the presentations this package targets with this engine.)
 """
 
 from __future__ import annotations
@@ -129,18 +129,17 @@ def search_empty_word(
     monoid: Monoid,
     word: SignedWord,
     state_budget: int = 10**6,
-    max_len: int | None = None,
 ) -> SearchResult:
     """Breadth-first search for the empty word under special steps.
 
     found=True certifies that `word` represents 1 (the trace revalidates
-    step by step).  The default cap max_len=len(word) keeps the search
-    space finite; an exhausted search then means "not emptiable without
-    growing the word", which does *not* by itself decide the word problem.
+    step by step).  No step may make the word longer than `word`, which
+    keeps the search space finite; an exhausted search then means "not
+    emptiable without growing the word", which does *not* by itself decide
+    the word problem.
     """
     word = tuple(word)
-    if max_len is None:
-        max_len = len(word)
+    max_len = len(word)
 
     def successors(w: SignedWord):
         return special_neighbors(monoid, w, max_len=max_len)

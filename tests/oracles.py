@@ -1,13 +1,21 @@
-"""Independent oracles used by the test-suite.
+"""Test oracles that the benchmark's references do not provide.
 
-Nothing here goes through the code paths under test: word classes are
-recomputed by a string-level saturation, lcms by enumerating bounded
-multiple sets, and group equality over a single labelled pair by normal
-forms in the central extension  < x, y | x^2 = y^m >  (m odd)  resp.
-< x, y | x^(m/2) central >  (m even), both of which are the enveloping
-group of the two-generator Artin-Tits monoid.  Special transformations are
-enumerated by trying every relation factor and every reversing position,
-then sorting.
+The group references (`reference.DihedralGroup`, `reference.WordReference`)
+and the string-level closure (`reference.PositiveMonoid`) come from
+perfbench/reference.py, which imports nothing from multifrac; the root
+conftest.py puts perfbench/ on the path.  What is here is checked against
+the package but leans on parts of it:
+
+* `MultipleSets` finds lcms by intersecting bounded multiple sets, whose
+  members it canonicalises with `Monoid.canonical`;
+* `BoundedLcmOracle` finds lcms by bitmasks over every element up to a
+  word-length bound, whose classes it takes from `congruence_class`;
+* `naive_special_neighbors` enumerates special transformations by trying
+  every relation factor and every reversing position (`reverse_step`),
+  then sorting: the scan `special_neighbors` replaced.
+
+The word generators and the presentations used across the suite live here
+too.
 """
 
 from __future__ import annotations
@@ -17,29 +25,10 @@ from functools import lru_cache
 from itertools import product
 
 from multifrac import Monoid, MonoidElement, WordStep
-from multifrac.presentation import ArtinPresentation, alternating_word
+from multifrac.presentation import ArtinPresentation
 from multifrac.reversing import reverse_step
 from multifrac.words import SignedWord, free_reduce, invert, parse_signed, signed_of_positive
-
-
-# -- string-level congruence closure (independent of the package kernel) ----
-
-def naive_class(word: str, relations: list[tuple[str, str]]) -> frozenset[str]:
-    """Saturate a word under string rewriting with the given relations."""
-    rules = [(l, r) for l, r in relations] + [(r, l) for l, r in relations]
-    seen = {word}
-    todo = [word]
-    while todo:
-        w = todo.pop()
-        for lhs, rhs in rules:
-            k = w.find(lhs)
-            while k >= 0:
-                u = w[:k] + rhs + w[k + len(lhs):]
-                if u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-                k = w.find(lhs, k + 1)
-    return frozenset(seen)
+from reference import alternating
 
 
 # -- brute-force lcm via bounded multiple sets ------------------------------
@@ -176,106 +165,6 @@ def reversal_closed(pres: ArtinPresentation) -> bool:
     return rels == rev
 
 
-# -- dihedral group oracle ---------------------------------------------------
-
-class DihedralGroupOracle:
-    """Exact equality in the enveloping group of < s, t | alt(m) = alt(m) >.
-
-    Elements are normal forms (z_exponent, syllables) in the central
-    extension; the construction is self-checked at init by verifying the
-    defining relation and that the generators stay distinct.
-    """
-
-    def __init__(self, m: int):
-        if m < 2:
-            raise ValueError("label must be at least 2")
-        self.m = m
-        if m % 2:
-            self.x_order, self.y_order = 2, m  # x^2 = z = y^m
-        else:
-            self.x_order, self.y_order = m // 2, 0  # x^(m/2) = z, y free
-        x = (0, (("x", 1),)) if self.x_order != 1 else (1, ())
-        y = (0, (("y", 1),))
-        if m % 2:
-            half = (m - 1) // 2
-            self.gen_a = self.mul(self.power(y, -half), x)
-            self.gen_b = self.mul(self.inverse(x), self.power(y, half + 1))
-        else:
-            self.gen_a = y
-            self.gen_b = self.mul(self.inverse(y), x)
-        lhs = self._positive(alternating_string("a", "b", m))
-        rhs = self._positive(alternating_string("b", "a", m))
-        assert lhs == rhs, "oracle construction broke the defining relation"
-        assert self.gen_a != self.gen_b != self.identity != self.gen_a
-
-    identity = (0, ())
-
-    def _norm_syllable(self, gen: str, exp: int):
-        """(z-carry, reduced syllable or None)."""
-        order = self.x_order if gen == "x" else self.y_order
-        if order:
-            carry, exp = divmod(exp, order)
-        else:
-            carry = 0
-        return carry, None if exp == 0 else (gen, exp)
-
-    def _push(self, stack: list, gen: str, exp: int) -> int:
-        """Append one syllable, merging with the top; returns the z-carry."""
-        z = 0
-        while stack and stack[-1][0] == gen:
-            _, a = stack.pop()
-            exp += a
-        carry, reduced = self._norm_syllable(gen, exp)
-        z += carry
-        if reduced is not None:
-            stack.append(reduced)
-        return z
-
-    def mul(self, e1, e2):
-        z = e1[0] + e2[0]
-        stack = list(e1[1])
-        for gen, exp in e2[1]:
-            z += self._push(stack, gen, exp)
-        return (z, tuple(stack))
-
-    def power(self, e, k: int):
-        out = self.identity
-        base = e if k >= 0 else self.inverse(e)
-        for _ in range(abs(k)):
-            out = self.mul(out, base)
-        return out
-
-    def inverse(self, e):
-        out = (-e[0], ())
-        for gen, exp in reversed(e[1]):
-            out = self.mul(out, (0, ((gen, -exp),)))
-        return out
-
-    def _positive(self, word: str):
-        out = self.identity
-        for ch in word:
-            out = self.mul(out, self.gen_a if ch == "a" else self.gen_b)
-        return out
-
-    def value(self, word: SignedWord):
-        """Image of a signed word over the pair (letters +-1 = a, +-2 = b)."""
-        out = self.identity
-        for c in word:
-            img = self.gen_a if abs(c) == 1 else self.gen_b
-            out = self.mul(out, img if c > 0 else self.inverse(img))
-        return out
-
-    def equal(self, w1: SignedWord, w2: SignedWord) -> bool:
-        return self.value(w1) == self.value(w2)
-
-    def is_identity_word(self, word: SignedWord) -> bool:
-        return self.value(word) == self.identity
-
-
-def alternating_string(s: str, t: str, length: int) -> str:
-    return "".join(alternating_word(s, t, length))
-
-
 # -- presentations and word generators ---------------------------------------
 
 def braid_pair(m: int = 3) -> ArtinPresentation:
@@ -297,8 +186,8 @@ def random_identity_word(
     """A freely reduced product of conjugated relators, of length <= max_len."""
     rels = []
     for s, t, m in pres.labelled_pairs():
-        lhs = parse_signed(pres, alternating_string(s, t, m))
-        rhs = parse_signed(pres, alternating_string(t, s, m))
+        lhs = parse_signed(pres, alternating(s, t, m))
+        rhs = parse_signed(pres, alternating(t, s, m))
         rels.append(lhs + invert(rhs))
     while True:
         word: SignedWord = ()

@@ -32,7 +32,6 @@ from multifrac.words import free_reduce, invert, parse_signed, runs
 
 from oracles import (
     BoundedLcmOracle,
-    DihedralGroupOracle,
     all_threes,
     braid_pair,
     random_identity_word,
@@ -40,6 +39,7 @@ from oracles import (
     reversal_closed,
     signed_words_up_to,
 )
+from reference import DihedralGroup
 
 
 @contextmanager
@@ -208,7 +208,7 @@ def test_criterion_05_fc_decision():
     by the group oracle and decided by exhaustive search) decide nontrivial."""
     with criterion(5, 300.0, "decision procedure on a convergent presentation"):
         mon = Monoid(braid_pair(3))
-        oracle = DihedralGroupOracle(3)
+        oracle = DihedralGroup(3)
         rng = random.Random(107)
         produced = []
         seen = set()
@@ -254,7 +254,7 @@ def test_criterion_06_fraction_lemma_suite():
             pres = braid_pair(m)
             mon = Monoid(pres)
             d = Dihedral(mon, "a", "b")
-            oracle = DihedralGroupOracle(m)
+            oracle = DihedralGroup(m)
             delta = d.garside()
             buckets = _element_buckets(pres, oracle, 4)
             forms = {}
@@ -327,7 +327,7 @@ def test_criterion_07_geodesic_traces():
         for m in (3, 4):
             mon = Monoid(braid_pair(m))
             d = Dihedral(mon, "a", "b")
-            oracle = DihedralGroupOracle(m)
+            oracle = DihedralGroup(m)
             done = 0
             while done < 15:
                 w = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(2, 6)))
@@ -412,7 +412,7 @@ def test_criterion_10_special_transformation_engine():
     with criterion(10, 300.0, "special word transformations"):
         mon = Monoid(braid_pair(3))
         pres = mon.presentation
-        oracle = DihedralGroupOracle(3)
+        oracle = DihedralGroup(3)
         rng = random.Random(113)
         for _ in range(500):
             w = random_signed_word(rng, pres, rng.randint(1, 6))
@@ -424,7 +424,7 @@ def test_criterion_10_special_transformation_engine():
         pool = [
             w
             for w in signed_words_up_to(pres, 8)
-            if free_reduce(w) == w and oracle.is_identity_word(w)
+            if free_reduce(w) == w and oracle.is_trivial(w)
         ]
         while len(pool) < 50:
             pool.append(random_identity_word(rng, pres, 8))
@@ -433,7 +433,7 @@ def test_criterion_10_special_transformation_engine():
         checked = 0
         while checked < 50:
             w = free_reduce(random_signed_word(rng, pres, rng.randint(1, 7)))
-            if oracle.is_identity_word(w):
+            if oracle.is_trivial(w):
                 continue
             res = search_empty_word(mon, w)
             assert not res.found and res.complete

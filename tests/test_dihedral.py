@@ -14,7 +14,8 @@ from multifrac import (
 )
 from multifrac.words import parse_signed, signed_str
 
-from oracles import DihedralGroupOracle, braid_pair, signed_words_up_to
+from oracles import braid_pair, signed_words_up_to
+from reference import DihedralGroup
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def test_normal_form_is_constant_on_classes_and_unique(m):
     search over bounded fraction expressions finds exactly one reduced pair."""
     mon = Monoid(braid_pair(m))
     d = Dihedral(mon, "a", "b")
-    oracle = DihedralGroupOracle(m)
+    oracle = DihedralGroup(m)
     buckets = _elements_by_oracle(mon.presentation, oracle, 3)
     # monoid elements of bounded length, for the brute-force side
     els = [mon.element(bytes(t)) for L in range(5) for t in __import__("itertools").product(range(2), repeat=L)]
@@ -120,7 +121,7 @@ def test_geodesic_examples(d3):
 def test_geodesic_minimality_brute_force(m):
     mon = Monoid(braid_pair(m))
     d = Dihedral(mon, "a", "b")
-    oracle = DihedralGroupOracle(m)
+    oracle = DihedralGroup(m)
     buckets = _elements_by_oracle(mon.presentation, oracle, 4)
     lengths = {val: min(len(w) for w in ws) for val, ws in buckets.items()}
     for val, ws in buckets.items():
@@ -134,7 +135,7 @@ def test_geodesic_first_letter_control(d3):
     """Every geodesic with a positive first letter starts with f(a); every
     negative-starting one starts with l(c)^-1 (exhaustive at length <= 4)."""
     mon = d3.monoid
-    oracle = DihedralGroupOracle(3)
+    oracle = DihedralGroup(3)
     buckets = _elements_by_oracle(mon.presentation, oracle, 4)
     lengths = {val: min(len(w) for w in ws) for val, ws in buckets.items()}
     for val, ws in buckets.items():
@@ -205,7 +206,7 @@ def test_to_geodesic_trace(m):
     mon = Monoid(braid_pair(m))
     d = Dihedral(mon, "a", "b")
     rng = random.Random(53)
-    oracle = DihedralGroupOracle(m)
+    oracle = DihedralGroup(m)
     done = 0
     while done < 12:
         w = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(2, 6)))

@@ -8,7 +8,8 @@ import pytest
 from multifrac import ArtinPresentation, BudgetExhausted, Monoid, kernel_backend
 from multifrac.monoid import MonoidElement, congruence_class
 
-from oracles import MultipleSets, all_threes, braid_pair, naive_class
+from oracles import MultipleSets, all_threes, braid_pair
+from reference import PositiveMonoid
 
 A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
 
@@ -30,12 +31,11 @@ def test_element_classes(a2):
 
 
 def test_class_matches_string_oracle(a2):
+    strings = PositiveMonoid("ab", [("a", "b", 3)], class_cap=1000)
     rng = random.Random(3)
     for _ in range(50):
         w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 7)))
-        assert {"".join(t) for t in a2.element(w).class_words} == naive_class(
-            w, [("aba", "bab")]
-        )
+        assert {"".join(t) for t in a2.element(w).class_words} == strings.word_class(w)
 
 
 def test_pure_kernel_matches_string_oracle():
@@ -45,15 +45,12 @@ def test_pure_kernel_matches_string_oracle():
     for rel in pres.relations():
         l, r = pres.encode(rel.lhs), pres.encode(rel.rhs)
         rules += [(l, r), (r, l)]
+    strings = PositiveMonoid(pres.generators, pres.labelled_pairs(), class_cap=1000)
     rng = random.Random(61)
     for _ in range(60):
         w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 7)))
         got = {pres.word_str(k) if k else "" for k in congruence_class(pres.encode(w), tuple(rules))}
-        want = set(
-            naive_class(w, [("".join(r.lhs), "".join(r.rhs)) for r in pres.relations()])
-        )
-        want = {x if x else "" for x in want}
-        assert got == want
+        assert got == strings.word_class(w)
 
 
 def test_multiply(a2):
@@ -120,13 +117,7 @@ def test_divisibility_rejects_unknown_side(a2):
 )
 def test_divide_and_divisors_match_naive_scan(pres, max_len):
     m = Monoid(pres)
-    rels = [("".join(r.lhs), "".join(r.rhs)) for r in pres.relations()]
-    naive: dict[str, frozenset[str]] = {}
-
-    def cls(w: str) -> frozenset[str]:
-        if w not in naive:
-            naive[w] = naive_class(w, rels)
-        return naive[w]
+    cls = PositiveMonoid(pres.generators, pres.labelled_pairs(), class_cap=1000).word_class
 
     words = [""]
     for _ in range(max_len):

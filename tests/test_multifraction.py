@@ -17,13 +17,13 @@ from multifrac.multifraction import _reduction_children
 from multifrac.words import parse_signed
 
 from oracles import (
-    DihedralGroupOracle,
     all_threes,
     braid_pair,
     random_identity_word,
     random_signed_word,
     signed_words_up_to,
 )
+from reference import DihedralGroup
 
 A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
 
@@ -240,7 +240,7 @@ def test_search_is_finite_at_desk_scale():
 
 def test_single_step_preserves_group_value(a2):
     rng = random.Random(29)
-    oracle = DihedralGroupOracle(3)
+    oracle = DihedralGroup(3)
     checked = 0
     while checked < 40:
         w = random_signed_word(rng, a2.presentation, rng.randint(2, 6))
@@ -250,7 +250,7 @@ def test_single_step_preserves_group_value(a2):
             continue
         b = apply_reduction(a, rng.choice(steps))
         assert equal_in_group_fc(a2, a.to_signed_word(), b.to_signed_word())
-        assert oracle.equal(a.to_signed_word(), b.to_signed_word())
+        assert oracle.value(a.to_signed_word()) == oracle.value(b.to_signed_word())
         checked += 1
 
 
