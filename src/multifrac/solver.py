@@ -137,7 +137,11 @@ def decide(
 
 
 def equal_in_group_fc(
-    monoid: Monoid, w1: SignedWord, w2: SignedWord, **budgets
+    monoid: Monoid,
+    w1: SignedWord,
+    w2: SignedWord,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+    lcm_budget: int = DEFAULT_LCM_BUDGET,
 ) -> bool:
     """Group equality oracle, valid when reduction is convergent (FC type).
 
@@ -146,7 +150,8 @@ def equal_in_group_fc(
     presentations a False answer is meaningless.  Raises BudgetExhausted
     when the verdict is undetermined.
     """
-    v = decide(monoid, tuple(w1) + invert(tuple(w2)), assume_fc=True, **budgets)
+    v = decide(monoid, tuple(w1) + invert(tuple(w2)), assume_fc=True,
+               state_budget=state_budget, lcm_budget=lcm_budget)
     if v.answer == "undetermined":
         raise BudgetExhausted(f"equality search undetermined ({v.reason})",
                               states=v.states, steps=v.steps)
