@@ -176,16 +176,24 @@ def _dispatch(args) -> int:
 
     if args.command == "reduce":
         entries = Multifraction.from_signed_word(monoid, parse_signed(pres, args.word)).entries
-        incomplete = False
-        for _ in range(args.max_steps):
-            children, ok = _reduction_children(monoid, entries, DEFAULT_LCM_BUDGET)
-            incomplete |= not ok
-            if not children:
+        steps = 0
+        while True:
+            # the last state is enumerated too: only that tells whether it is irreducible
+            children, complete = _reduction_children(monoid, entries, DEFAULT_LCM_BUDGET)
+            if not children or steps >= args.max_steps:
                 break
             step, entries = children[0]
             print(step.json_obj())
-        print(f"irreducible: {Multifraction._of(monoid, entries)}")
-        return EXIT_UNDETERMINED if incomplete else EXIT_TRIVIAL
+            steps += 1
+        a = Multifraction._of(monoid, entries)
+        if children:
+            print(f"stopped after {steps} steps: {a}")
+            return EXIT_UNDETERMINED
+        if not complete:
+            print(f"undetermined (lcm budget): {a}")
+            return EXIT_UNDETERMINED
+        print(f"irreducible: {a}")
+        return EXIT_TRIVIAL
 
     if args.command == "split":
         a = Multifraction.from_signed_word(monoid, parse_signed(pres, args.word))

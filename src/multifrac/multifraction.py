@@ -253,46 +253,50 @@ class SearchResult:
     reason: str | None = None
 
 
-def _search(start, key, successors, is_target, state_budget, priority=None) -> SearchResult:
+def _search(start, successors, is_target, state_budget, priority=None) -> SearchResult:
     """Budgeted reachability search shared by every rewrite system here.
 
-    `successors(state)` yields (step, child) for each admitted child, in a
-    deterministic order, and (None, reason) whenever a cap ("lcm budget" or
-    "depth cap") made it skip work.  States leave the frontier by
-    (priority(state), insertion tick), so priority=None is breadth-first.
-    `steps` counts admitted children before dedupe.  Reasons rank "state
-    budget" over "lcm budget" over "depth cap"; a found trace carries no
-    reason, and its `complete` covers only the caps met before it.
+    States are hashable and are their own dedupe keys.  `successors(state)`
+    returns (children, complete): children is a list of (step, child) in a
+    deterministic order, and complete is False when an lcm ran out of
+    budget while they were enumerated, which the engine records as "lcm
+    budget" before it reads them.  A child (None, reason) marks work a
+    cap skipped at that point of the list ("depth cap" in split
+    reduction).  States leave the frontier by (priority(state), insertion
+    tick), so priority=None is breadth-first.  `steps` counts admitted
+    children before dedupe.  Reasons rank "state budget" over "lcm budget"
+    over "depth cap"; a found trace carries no reason, and its `complete`
+    covers only the caps met before it.
     """
     if is_target(start):
         return SearchResult(True, True, (), 1, 0)
-    start_key = key(start)
-    seen: dict = {start_key: None}  # key -> (parent key, step), None at the start
-    frontier = [(priority(start) if priority else 0, 0, start, start_key)]
+    seen: dict = {start: None}  # state -> (parent state, step), None at the start
+    frontier = [(priority(start) if priority else 0, 0, start)]
     tick = edges = 0
     reason = None
     while frontier:
-        _, _, cur, cur_key = heapq.heappop(frontier)
-        for step, child in successors(cur):
-            if step is None:  # a cap: "lcm budget" outranks "depth cap"
-                if reason != "lcm budget":
-                    reason = child
+        cur = heapq.heappop(frontier)[2]
+        children, complete = successors(cur)
+        if not complete:
+            reason = "lcm budget"
+        for step, child in children:
+            if step is None:  # a cap, outranked by "lcm budget"
+                reason = reason or child
                 continue
             edges += 1
-            ckey = key(child)
-            if ckey in seen:
+            if child in seen:
                 continue
             if len(seen) >= state_budget:
                 return SearchResult(False, False, (), len(seen), edges, "state budget")
-            seen[ckey] = (cur_key, step)
+            seen[child] = (cur, step)
             if is_target(child):
                 trace = []
-                while seen[ckey] is not None:
-                    ckey, st = seen[ckey]
+                while seen[child] is not None:
+                    child, st = seen[child]
                     trace.append(st)
                 return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
             tick += 1
-            heapq.heappush(frontier, (priority(child) if priority else 0, tick, child, ckey))
+            heapq.heappush(frontier, (priority(child) if priority else 0, tick, child))
     return SearchResult(False, reason is None, (), len(seen), edges, reason)
 
 
@@ -308,16 +312,10 @@ def search_reduction(
     (0 = the all-trivial target); the BFS order plus the deterministic
     child ordering make the returned trace the canonical shortest one.
     """
-
-    def successors(entries: tuple) -> list:
-        children, complete = _reduction_children(a.monoid, entries, lcm_budget)
-        return children if complete else [(None, "lcm budget"), *children]
-
-    return _search(a.entries, lambda e: e, successors,
+    return _search(a.entries, lambda e: _reduction_children(a.monoid, e, lcm_budget),
                    lambda e: _wordlength(e) <= target_wordlength, state_budget)
 
 
 def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:
     """Is the all-trivial multifraction of the same depth reachable from a?"""
     return search_reduction(a, target_wordlength=0, **budgets)
-

@@ -181,18 +181,18 @@ def split_reduces_to_trivial(
         max_depth = 2 * a.depth + 12
     m = a.monoid
 
-    def successors(entries: tuple) -> list:
+    def successors(entries: tuple) -> tuple[list, bool]:
         # the kernel settles every lcm even at the cap, so that an lcm
         # budget trip there still outranks the depth cap
         children, complete = _split_children(m, entries)
         if len(entries) + 2 > max_depth:  # a split adds two entries, a trim drops two
             children = [(s, c) if len(c) <= max_depth else (None, "depth cap") for s, c in children]
-        return children if complete else [(None, "lcm budget"), *children]
+        return children, complete
 
     # the target test compares entries with 1 by identity, so each admitted
     # state's word-length is computed once, for its priority
     one = m.identity
-    return _search(a.entries, lambda e: e, successors, lambda e: e.count(one) == len(e),
+    return _search(a.entries, successors, lambda e: e.count(one) == len(e),
                    state_budget, lambda e: (_wordlength(e), len(e)))
 
 

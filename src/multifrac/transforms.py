@@ -11,11 +11,13 @@ the identity.
 one in-order scan of the word's length-2 factors: a factor's first two
 letters pick out the one relation factor that can start there, and a
 reversing step can only apply where the sign changes, so nothing is tried
-twice and nothing is sorted.  With `max_len` set it drops results longer
-than the cap.  The reachability search always uses the cap len(word):
-equivalences preserve length, reversing deletions shrink by two, and
-commutation reversings preserve, so under the cap the reachable set is
-finite and the search is exhaustive without any budget at desk scale.
+twice and nothing is sorted.  With `max_len` set it checks each step's
+result length against the cap before it builds the step: an equivalence
+keeps the length, a reversing deletion shrinks it by two, and a reversing
+rewrite of s^-1 t or s t^-1 (s != t) grows it by 2*m(s,t) - 4.  The
+reachability search always uses the cap len(word), so no word it reaches
+is longer than its start, the reachable set is finite and the search is
+exhaustive without any budget at desk scale.
 (Unrestricted reversing rewrites over labels m >= 3 grow a word and are
 available from `special_neighbors` with max_len=None, but the search does
 not need them on the presentations this package targets with this engine.)
@@ -80,29 +82,38 @@ def special_neighbors(
     A positive (negative) factor matching one side of a relation is always
     contained in a maximal positive (negative) run, so plain subword search
     enumerates exactly the one-relation equivalence steps.  `max_len`
-    filters out results longer than the cap; None keeps everything.
+    skips steps whose result would be longer than the cap, before they are
+    built; None keeps everything.
     """
     pres = monoid.presentation
     word = tuple(word)
     factors = _relation_factors(pres)
+    room = None if max_len is None else max_len - len(word)  # the growth the cap allows
     found = {"pos": [], "neg": [], "rrev": [], "lrev": []}
     for k, pair in enumerate(zip(word, word[1:])):
         hit = factors.get(pair)
         if hit is not None:
             rule, fac, rep = hit
             n = len(fac)
-            if word[k : k + n] == fac:
+            if (room is None or room >= 0) and word[k : k + n] == fac:
                 found[rule].append((WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :]))
         elif (pair[0] > 0) != (pair[1] > 0):
-            # right reversing rewrites s^-1 t, left reversing s t^-1
-            rule, side = ("rrev", "right") if pair[0] < 0 else ("lrev", "left")
-            res = reverse_step(pres, side, word, k)
-            if res is not None:
-                found[rule].append((WordStep(rule, k), res))
-    out = found["pos"] + found["neg"] + found["rrev"] + found["lrev"]
-    if max_len is None:
-        return out
-    return [item for item in out if len(item[1]) <= max_len]
+            # right reversing rewrites s^-1 t, left reversing s t^-1: s = t
+            # deletes the pair, otherwise the relation of length m = m(s,t)
+            # turns it into 2m - 2 letters; a free pair has no relation and
+            # no reversing step
+            s, t = abs(pair[0]), abs(pair[1])
+            if s == t:
+                growth = -2
+            else:
+                rel = factors.get((s, t))
+                if rel is None:
+                    continue
+                growth = 2 * len(rel[1]) - 4
+            if room is None or growth <= room:
+                rule, side = ("rrev", "right") if pair[0] < 0 else ("lrev", "left")
+                found[rule].append((WordStep(rule, k), reverse_step(pres, side, word, k)))
+    return found["pos"] + found["neg"] + found["rrev"] + found["lrev"]
 
 
 def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedWord:
@@ -140,8 +151,6 @@ def search_empty_word(
     """
     word = tuple(word)
     max_len = len(word)
-
-    def successors(w: SignedWord):
-        return special_neighbors(monoid, w, max_len=max_len)
-
-    return _search(word, lambda w: w, successors, lambda w: not w, state_budget)
+    # special steps never skip work, so every enumeration is complete
+    return _search(word, lambda w: (special_neighbors(monoid, w, max_len=max_len), True),
+                   lambda w: not w, state_budget)

@@ -5,8 +5,9 @@ trace's JSON records) is pinned per case, so a change to the engine's
 order, dedupe, edge count, budgets or reason precedence shows up here.
 The table covers, for each search, a start that is already the target, a
 found trace, an exhausted search and each cap: the state budget, the lcm
-budget (which outranks the depth cap) and the depth cap, plus a split
-trace found after a depth cap had tripped (found, but not complete).
+budget (which outranks the depth cap) and the depth cap, plus a
+reduction trace found after an lcm budget had tripped and a split trace
+found after a depth cap had tripped (found, but not complete).
 """
 
 import pytest
@@ -92,11 +93,21 @@ GOLDEN = [
      (False, True, 24, 76, None, ())),
     ("proph", "A3", "cAcAac", {"state_budget": 20},
      (False, False, 20, 49, "state budget", ())),
+    # appended last, so that the ids of the rows above keep their indices
+    ("reduction", "I2(3)", "abaBAB", {"pad": 1, "lcm_budget": 1},
+     (True, False, 30, 44, None, (
+         {"i": 2, "rule": "R", "x": "ab"},
+         {"i": 3, "rule": "R", "x": "aba"},
+         {"i": 1, "rule": "R", "x": "ab"},
+     ))),
 ]
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture()
 def monoids():
+    # fresh per case: a Monoid caches every lcm it settles and serves it at
+    # any budget, so a shared one would make the lcm-budget rows depend on
+    # the cases run before them
     return {name: Monoid(pres) for name, pres in PRESENTATIONS.items()}
 
 

@@ -190,20 +190,28 @@ PROPH_SPLIT_STDOUT = {
         "trivial (states 36, steps 35)\n"
     )),
     ("split", "abAB", "--max-depth", "4"): (2, "not found (states 9, steps 12, depth cap)\n"),
-}
-
-
-def test_cli_proph_split_reduce(a2_file, capsys):
-    for (command, *rest), want in PROPH_SPLIT_STDOUT.items():
-        code = main([command, "--presentation", a2_file, *rest])
-        assert (code, capsys.readouterr().out) == want, (command, *rest)
-    assert main(["reduce", "--presentation", a2_file, "abaBAB"]) == 0
-    assert capsys.readouterr().out == (
+    ("reduce", "abaBAB"): (0, (
         "{'rule': 'R', 'i': 1, 'x': 'a'}\n"
         "{'rule': 'R', 'i': 1, 'x': 'b'}\n"
         "{'rule': 'R', 'i': 1, 'x': 'a'}\n"
         "irreducible: 1/1\n"
-    )
+    )),
+    # "irreducible" only when a complete enumeration of the last state found no step
+    ("reduce", "abaBAB", "--max-steps", "0"): (2, "stopped after 0 steps: aba/aba\n"),
+    ("reduce", "abaBAB", "--max-steps", "1"): (2, (
+        "{'rule': 'R', 'i': 1, 'x': 'a'}\n"
+        "stopped after 1 steps: ab/ab\n"
+    )),
+}
+
+
+def test_cli_proph_split_reduce(a2_file, a2t_file, capsys):
+    for (command, *rest), want in PROPH_SPLIT_STDOUT.items():
+        code = main([command, "--presentation", a2_file, *rest])
+        assert (code, capsys.readouterr().out) == want, (command, *rest)
+    # an lcm of the last state ran out of budget, so it may still reduce
+    assert main(["reduce", "--presentation", a2t_file, "abcABCabcABC"]) == 2
+    assert capsys.readouterr().out == "undetermined (lcm budget): abc/cba/abc/cba\n"
 
 
 QUADRATIC_JSON = {

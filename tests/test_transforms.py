@@ -72,7 +72,7 @@ def test_growing_rewrites_only_without_cap(a2):
 def test_neighbors_match_sorted_scan_of_every_position(pres, max_len):
     mon = Monoid(pres)
     for w in signed_words_up_to(pres, max_len):
-        for cap in (None, len(w)):
+        for cap in (None, len(w) - 2, len(w), len(w) + 2):
             assert special_neighbors(mon, w, max_len=cap) == naive_special_neighbors(mon, w, cap), (w, cap)
 
 
