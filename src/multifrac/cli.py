@@ -19,12 +19,12 @@ import sys
 from .dihedral import Dihedral, padding_bound
 from .errors import BudgetExhausted, PresentationError, StructuralError
 from .monoid import Monoid
-from .multifraction import DEFAULT_LCM_BUDGET, Multifraction, _reduction_children
+from .multifraction import DEFAULT_LCM_BUDGET, DEFAULT_STATE_BUDGET, Multifraction, _reduction_children
 from .presentation import parse_presentation
 from .solver import PaddingStrategy, decide, verdict_json
-from .split import split_reduces_to_trivial
+from .split import DEFAULT_SPLIT_STATE_BUDGET, split_reduces_to_trivial
 from .transforms import search_empty_word
-from .reversing import reverse_full
+from .reversing import DEFAULT_STEP_BUDGET, reverse_full
 from .words import parse_signed, signed_str
 
 EXIT_TRIVIAL = 0
@@ -62,8 +62,8 @@ def _build_parser() -> _Parser:
                     help="trust the presentation to be of FC type (reduction "
                          "convergent), making an exhausted search a proof of "
                          "nontriviality at any padding")
-    sp.add_argument("--state-budget", type=int, default=10**6)
-    sp.add_argument("--lcm-budget", type=int, default=1000)
+    sp.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    sp.add_argument("--lcm-budget", type=int, default=DEFAULT_LCM_BUDGET)
     sp.add_argument("--json", action="store_true", help="emit the verdict as JSON")
 
     sp = sub.add_parser("reduce", help="greedily reduce a multifraction to an irreducible one")
@@ -74,19 +74,19 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("split", help="search for a trivializing split-reduction trace")
     with_presentation(sp)
     sp.add_argument("word")
-    sp.add_argument("--state-budget", type=int, default=10**5)
+    sp.add_argument("--state-budget", type=int, default=DEFAULT_SPLIT_STATE_BUDGET)
     sp.add_argument("--max-depth", type=int, default=None)
 
     sp = sub.add_parser("reverse", help="fully reverse a signed word")
     with_presentation(sp)
     sp.add_argument("word")
     sp.add_argument("--side", choices=["right", "left"], default="right")
-    sp.add_argument("--budget", type=int, default=10_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET)
 
     sp = sub.add_parser("proph", help="search for an emptying sequence of special transformations")
     with_presentation(sp)
     sp.add_argument("word")
-    sp.add_argument("--state-budget", type=int, default=10**6)
+    sp.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
 
     for name, what in (("lcm", "least common multiple"), ("gcd", "greatest common divisor")):
         sp = sub.add_parser(name, help=f"{what} of two positive words")

@@ -19,7 +19,9 @@ Divisibility, gcd and divisor enumeration share one cached table per
 read off the prefixes (suffixes) of the class members.  The cofactor is
 unique up to the congruence by cancellativity.  Lcms and complements are
 computed by subword reversing, with budgets (see `reversing`); a budget hit
-surfaces as BudgetExhausted, never as "no lcm".
+surfaces as BudgetExhausted, never as "no lcm".  The lcm cache is keyed by
+every argument of `lcm_data` (side, both elements, step budget and length
+cap), so no answer depends on what the Monoid settled before.
 
 Elements are immutable and operations are pure.  Building a class holds a
 per-monoid lock, so threads sharing a Monoid still get one element per
@@ -123,7 +125,8 @@ class Monoid:
         self._build_lock = threading.Lock()
         # (side, x) -> (sorted divisors of x, {divisor: cofactor word})
         self._divisors: dict[tuple[str, MonoidElement], tuple[tuple, dict]] = {}
-        self._lcm_cache: dict[tuple[str, MonoidElement, MonoidElement], tuple] = {}
+        # (side, x, y, budget, max_len) -> lcm_data's answer, or a budget trip's message
+        self._lcm_cache: dict[tuple, tuple | None | str] = {}
         self.identity = self.element(b"")
 
     # -- classes and elements -------------------------------------------
@@ -277,51 +280,40 @@ class Monoid:
 
         side="right": x*c_x = y*c_y = lcm  (c_x = x\\y, c_y = y\\x);
         side="left":  c_x*x = c_y*y = lcm  (c_x = y/x, c_y = x/y).
+
+        Cached by every argument, budget and length cap included, so the
+        answer depends on the arguments alone.  A budget trip is cached as
+        its message, formatted once because searches re-raise it often.
         """
-        key = (side, x, y)
-        hit = self._lcm_cache.get(key)
-        if hit is None:  # a cached key was validated when it was stored
+        key = (side, x, y, budget, max_len)
+        try:
+            hit = self._lcm_cache[key]
+        except KeyError:  # a cached key was validated when it was stored
             self._check(x, y)
             if side not in ("right", "left"):
-                raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+                raise ValueError(f"side must be 'right' or 'left', got {side!r}") from None
         else:
-            if hit[0] == "ok":
-                return hit[1]
-            if hit[0] == "absent":
-                return None
-            # a rerun can only settle if it is allowed more room somewhere
-            tried_budget, tried_len = hit[1], hit[2]
-            no_looser_steps = budget <= tried_budget
-            no_looser_len = tried_len is None or (max_len is not None and max_len <= tried_len)
-            if no_looser_steps and no_looser_len:
-                raise BudgetExhausted(hit[3], steps=tried_budget)
-        if side == "right":
-            word: SignedWord = signed_of_positive(x.key, -1) + signed_of_positive(y.key)
-        else:
-            word = signed_of_positive(x.key) + signed_of_positive(y.key, -1)
+            if isinstance(hit, str):
+                raise BudgetExhausted(hit, steps=budget)
+            return hit
+        # right reverses x^-1 y to c_x c_y^-1, left reverses x y^-1 to c_x^-1 c_y
+        sign = -1 if side == "right" else 1
+        word: SignedWord = signed_of_positive(x.key, sign) + signed_of_positive(y.key, -sign)
         try:
             terminal = reverse_full(self.presentation, side, word, budget, max_len).word
         except BudgetExhausted:
-            # the replay message is formatted once: searches re-raise it often
-            message = f"{side}-lcm of {x} and {y} undetermined within budget"
-            self._lcm_cache[key] = ("budget", budget, max_len, message)
+            self._lcm_cache[key] = f"{side}-lcm of {x} and {y} undetermined within budget"
             raise
         split = split_terminal(side, terminal)
         if split is None:
-            self._lcm_cache[key] = ("absent",)
+            self._lcm_cache[key] = None
             return None
+        c_x, c_y = split
         if side == "right":
-            vp, up = split  # terminal = vp * invert(up)
-            lcm = self.element(x.key + vp)
-            if self.element(y.key + up) is not lcm:
-                raise StructuralError("reversing terminal is not a common multiple")
-            data = (lcm, self.element(vp), self.element(up))
+            lcm, other = self.element(x.key + c_x), self.element(y.key + c_y)
         else:
-            up, vp = split  # terminal = invert(up) * vp
-            lcm = self.element(up + x.key)
-            if self.element(vp + y.key) is not lcm:
-                raise StructuralError("reversing terminal is not a common multiple")
-            # (vp)*y = lcm makes vp the over-complement x/y; up is y/x
-            data = (lcm, self.element(up), self.element(vp))
-        self._lcm_cache[key] = ("ok", data)
+            lcm, other = self.element(c_x + x.key), self.element(c_y + y.key)
+        if other is not lcm:
+            raise StructuralError("reversing terminal is not a common multiple")
+        data = self._lcm_cache[key] = (lcm, self.element(c_x), self.element(c_y))
         return data

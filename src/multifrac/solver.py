@@ -118,7 +118,7 @@ def decide(
     if res.found:
         cur = padded
         for step in res.trace:
-            cur = apply_reduction(cur, step)
+            cur = apply_reduction(cur, step, lcm_budget)
             if cur is None:
                 raise StructuralError("trivializing trace failed to revalidate")
         if not cur.is_trivial():
@@ -130,7 +130,7 @@ def decide(
     )
     if res.complete and complete_class:
         return Verdict("nontrivial", p, (), res.states, res.steps)
-    reason = res.reason or (None if res.complete else "budget")
+    reason = res.reason
     if res.complete and not complete_class:
         reason = "search exhausted, but completeness is not established for this presentation/strategy"
     return Verdict("undetermined", p, (), res.states, res.steps, reason)

@@ -9,15 +9,14 @@ the identity.
 
 `special_neighbors` enumerates single steps on raw signed-word tuples in
 one in-order scan of the word's length-2 factors: a factor's first two
-letters pick out the one relation factor that can start there, and a
-reversing step can only apply where the sign changes, so nothing is tried
-twice and nothing is sorted.  With `max_len` set it checks each step's
-result length against the cap before it builds the step: an equivalence
-keeps the length, a reversing deletion shrinks it by two, and a reversing
-rewrite of s^-1 t or s t^-1 (s != t) grows it by 2*m(s,t) - 4.  The
-reachability search always uses the cap len(word), so no word it reaches
-is longer than its start, the reachable set is finite and the search is
-exhaustive without any budget at desk scale.
+letters pick out the one relation factor that can start there or, where
+the sign changes, the reversing-table entry that replaces them, so nothing
+is tried twice and nothing is sorted.  With `max_len` set it checks each
+step's result length against the cap before it builds the step: an
+equivalence keeps the length, and a reversing step swaps two letters for
+its table entry.  The reachability search always uses the cap len(word),
+so no word it reaches is longer than its start, the reachable set is
+finite and the search is exhaustive without any budget at desk scale.
 (Unrestricted reversing rewrites over labels m >= 3 grow a word and are
 available from `special_neighbors` with max_len=None, but the search does
 not need them on the presentations this package targets with this engine.)
@@ -29,9 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .monoid import Monoid
-from .multifraction import SearchResult, _search
+from .multifraction import DEFAULT_STATE_BUDGET, SearchResult, _search
 from .presentation import ArtinPresentation
-from .reversing import reverse_step
+from .reversing import _tables, reverse_step
 from .words import SignedWord, invert, signed_of_positive, signed_str
 
 __all__ = ["WordStep", "special_neighbors", "apply_word_step", "search_empty_word"]
@@ -88,6 +87,7 @@ def special_neighbors(
     pres = monoid.presentation
     word = tuple(word)
     factors = _relation_factors(pres)
+    right, left = _tables(pres, "right"), _tables(pres, "left")
     room = None if max_len is None else max_len - len(word)  # the growth the cap allows
     found = {"pos": [], "neg": [], "rrev": [], "lrev": []}
     for k, pair in enumerate(zip(word, word[1:])):
@@ -98,21 +98,11 @@ def special_neighbors(
             if (room is None or room >= 0) and word[k : k + n] == fac:
                 found[rule].append((WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :]))
         elif (pair[0] > 0) != (pair[1] > 0):
-            # right reversing rewrites s^-1 t, left reversing s t^-1: s = t
-            # deletes the pair, otherwise the relation of length m = m(s,t)
-            # turns it into 2m - 2 letters; a free pair has no relation and
-            # no reversing step
-            s, t = abs(pair[0]), abs(pair[1])
-            if s == t:
-                growth = -2
-            else:
-                rel = factors.get((s, t))
-                if rel is None:
-                    continue
-                growth = 2 * len(rel[1]) - 4
-            if room is None or growth <= room:
-                rule, side = ("rrev", "right") if pair[0] < 0 else ("lrev", "left")
-                found[rule].append((WordStep(rule, k), reverse_step(pres, side, word, k)))
+            # right reversing rewrites s^-1 t, left reversing s t^-1; a free
+            # pair has no table entry and no reversing step
+            rule, rep = ("rrev", right.get(pair)) if pair[0] < 0 else ("lrev", left.get(pair))
+            if rep is not None and (room is None or len(rep) - 2 <= room):
+                found[rule].append((WordStep(rule, k), word[:k] + rep + word[k + 2 :]))
     return found["pos"] + found["neg"] + found["rrev"] + found["lrev"]
 
 
@@ -139,7 +129,7 @@ def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedW
 def search_empty_word(
     monoid: Monoid,
     word: SignedWord,
-    state_budget: int = 10**6,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> SearchResult:
     """Breadth-first search for the empty word under special steps.
 

@@ -214,7 +214,7 @@ def test_lcm_budget_exhaustion_distinct_from_absent():
     x, y = mon.element("ab"), mon.element("c")
     with pytest.raises(BudgetExhausted):
         mon.lcm("right", x, y, budget=300, max_len=128)
-    # and the cached outcome is replayed for an equally-weak retry
+    # and the cached outcome is replayed for the same budget and cap
     with pytest.raises(BudgetExhausted):
         mon.lcm("right", x, y, budget=300, max_len=128)
     ms = MultipleSets(mon)
@@ -237,6 +237,20 @@ def test_lcm_budget_replay_formats_no_message(monkeypatch):
         assert info.value.stats == {"steps": 300}
     assert calls == []
     assert messages == ["right-lcm of ab and c undetermined within budget"] * 2
+
+
+def test_lcm_answer_is_keyed_by_budget_and_length_cap():
+    # an lcm settled at the default budget is not an answer at a smaller one
+    mon = Monoid(braid_pair(3))
+    x, y = mon.element("aaa"), mon.element("bbb")
+    assert mon.lcm("right", x, y) == mon.element("aaabaabba")
+    for options in ({"budget": 5}, {"max_len": 4}):
+        fresh = Monoid(braid_pair(3))
+        with pytest.raises(BudgetExhausted) as on_fresh:
+            fresh.lcm("right", fresh.element("aaa"), fresh.element("bbb"), **options)
+        with pytest.raises(BudgetExhausted) as on_settled:
+            mon.lcm("right", x, y, **options)
+        assert str(on_settled.value) == str(on_fresh.value)
 
 
 def test_lcm_agrees_with_brute_force_on_existing(a2):

@@ -105,15 +105,12 @@ GOLDEN = [
 
 @pytest.fixture()
 def monoids():
-    # fresh per case: a Monoid caches every lcm it settles and serves it at
-    # any budget, so a shared one would make the lcm-budget rows depend on
-    # the cases run before them
+    # fresh per case, so that each row is pinned on its own; the shared-Monoid
+    # test below checks that the rows do not depend on one another
     return {name: Monoid(pres) for name, pres in PRESENTATIONS.items()}
 
 
-@pytest.mark.parametrize("search, pres, word, options, expected", GOLDEN)
-def test_search_result_is_pinned(monoids, search, pres, word, options, expected):
-    mon = monoids[pres]
+def _run(mon, search, word, options):
     w = parse_signed(mon.presentation, word)
     options = dict(options)
     if search == "reduction":
@@ -127,4 +124,17 @@ def test_search_result_is_pinned(monoids, search, pres, word, options, expected)
         st.json_obj(mon.presentation) if isinstance(st, WordStep) else st.json_obj()
         for st in res.trace
     )
-    assert (res.found, res.complete, res.states, res.steps, res.reason, trace) == expected
+    return (res.found, res.complete, res.states, res.steps, res.reason, trace)
+
+
+@pytest.mark.parametrize("search, pres, word, options, expected", GOLDEN)
+def test_search_result_is_pinned(monoids, search, pres, word, options, expected):
+    assert _run(monoids[pres], search, word, options) == expected
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_search_results_do_not_depend_on_earlier_searches(monoids, order):
+    # every row on one Monoid per presentation: an lcm answer depends only on
+    # its arguments, never on what the same Monoid settled before
+    for search, pres, word, options, expected in GOLDEN[::order]:
+        assert _run(monoids[pres], search, word, options) == expected, (search, pres, word, options)

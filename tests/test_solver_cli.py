@@ -6,8 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from multifrac import Monoid, Multifraction, PaddingStrategy, apply_reduction, decide, verdict_json
+from multifrac import (
+    ArtinPresentation,
+    Monoid,
+    Multifraction,
+    PaddingStrategy,
+    apply_reduction,
+    decide,
+    verdict_json,
+)
 from multifrac.cli import main
+from multifrac.reversing import DEFAULT_STEP_BUDGET
 from multifrac.words import parse_signed
 
 from oracles import all_threes, braid_pair, random_identity_word
@@ -93,6 +102,23 @@ def test_trace_revalidates(a2):
     for step in v.trace:
         cur = apply_reduction(cur, step)
     assert cur.is_trivial()
+
+
+def test_decide_settles_every_lcm_at_its_lcm_budget(monkeypatch):
+    # the search and the revalidation of its trace use the same lcm budget
+    budgets = set()
+    plain = Monoid.lcm_data
+
+    def spy(self, side, x, y, budget=DEFAULT_STEP_BUDGET, max_len=None):
+        budgets.add(budget)
+        return plain(self, side, x, y, budget, max_len)
+
+    monkeypatch.setattr(Monoid, "lcm_data", spy)
+    a3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
+    v = decide(Monoid(a3), "acAC", PaddingStrategy.constant(1), lcm_budget=777)
+    assert v.answer == "trivial"
+    assert [st.json_obj() for st in v.trace] == [{"i": 3, "rule": "R", "x": "ac"}]
+    assert budgets == {777}
 
 
 def test_json_deterministic(a2):
