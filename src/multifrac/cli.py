@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
                     help="padding strategy (default: none); 'quadratic' pads "
                          "3*l*(l+2)/4 pairs, which makes an exhausted search a "
                          "proof of nontriviality on sufficiently-large presentations")
-    sp.add_argument("--padding", type=int, default=0, metavar="P",
+    sp.add_argument("--padding", type=int, default=None, metavar="P",
                     help="pairs of trivial entries for --strategy constant")
     sp.add_argument("--assume-fc", action="store_true",
                     help="trust the presentation to be of FC type (reduction "
@@ -149,8 +149,10 @@ def _dispatch(args) -> int:
         return EXIT_TRIVIAL
 
     if args.command == "solve":
+        if args.padding is not None and args.strategy != "constant":
+            raise ValueError("--padding needs --strategy constant")
         if args.strategy == "constant":
-            strategy = PaddingStrategy.constant(args.padding)
+            strategy = PaddingStrategy.constant(args.padding or 0)
         elif args.strategy == "quadratic":
             strategy = PaddingStrategy.quadratic()
         else:

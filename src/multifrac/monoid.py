@@ -232,41 +232,14 @@ class Monoid:
 
     # -- lcms and complements via reversing -------------------------------
 
-    def lcm(
-        self,
-        side: str,
-        x: MonoidElement,
-        y: MonoidElement,
-        budget: int = DEFAULT_STEP_BUDGET,
-        max_len: int | None = None,
-    ) -> MonoidElement | None:
+    def lcm(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
         """Right-lcm x v y (side="right") or left-lcm (side="left").
 
         None means "no common multiple" (reversing blocked on a free pair),
         which is definitive.  BudgetExhausted means undetermined.
         """
-        out = self.lcm_data(side, x, y, budget, max_len)
+        out = self.lcm_data(side, x, y)
         return None if out is None else out[0]
-
-    def complement(
-        self,
-        kind: str,
-        x: MonoidElement,
-        y: MonoidElement,
-        budget: int = DEFAULT_STEP_BUDGET,
-        max_len: int | None = None,
-    ) -> MonoidElement | None:
-        """kind="under": x\\y with x*(x\\y) = x v y.
-        kind="over":  x/y with (x/y)*y = left-lcm of x and y.
-        None when the corresponding lcm does not exist.
-        """
-        if kind == "under":
-            out = self.lcm_data("right", x, y, budget, max_len)
-            return None if out is None else out[1]
-        if kind == "over":
-            out = self.lcm_data("left", x, y, budget, max_len)
-            return None if out is None else out[2]
-        raise ValueError(f"kind must be 'under' or 'over', got {kind!r}")
 
     def lcm_data(
         self,

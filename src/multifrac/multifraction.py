@@ -94,6 +94,8 @@ class Multifraction:
 
     def entry(self, i: int) -> MonoidElement:
         """1-based entry access, matching the rewrite-rule indexing."""
+        if not 1 <= i <= self.depth:
+            raise IndexError(f"entry {i} of a depth-{self.depth} multifraction")
         return self.entries[i - 1]
 
     def key(self) -> tuple[MonoidElement, ...]:
@@ -227,12 +229,10 @@ def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[lis
     return children, complete
 
 
-def reduction_step_candidates(
-    a: Multifraction, lcm_budget: int = DEFAULT_LCM_BUDGET
-) -> tuple[list[ReductionStep], bool]:
+def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:
     """All applicable reduction steps, ordered by (i, parameter word), and
     False second when an lcm ran out of budget (the list may be incomplete)."""
-    children, complete = _reduction_children(a.monoid, a.entries, lcm_budget)
+    children, complete = _reduction_children(a.monoid, a.entries, DEFAULT_LCM_BUDGET)
     return [step for step, _ in children], complete
 
 

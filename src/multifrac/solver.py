@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from .dihedral import padding_bound
 from .monoid import Monoid
@@ -44,13 +43,11 @@ class PaddingStrategy:
 
     kind "none" pads nothing; "constant" pads a fixed p; "quadratic" pads
     3*l*(l+2)/4 with l the multifraction word-length rounded up to even
-    (the bound is stated for even lengths, and more padding never hurts);
-    "custom" looks the word-length up in a user table.
+    (the bound is stated for even lengths, and more padding never hurts).
     """
 
     kind: str
     amount: int = 0
-    table: Mapping[int, int] | None = None
 
     @staticmethod
     def none() -> "PaddingStrategy":
@@ -66,10 +63,6 @@ class PaddingStrategy:
     def quadratic() -> "PaddingStrategy":
         return PaddingStrategy("quadratic")
 
-    @staticmethod
-    def custom(table: Mapping[int, int]) -> "PaddingStrategy":
-        return PaddingStrategy("custom", table=dict(table))
-
     def padding_for(self, a: Multifraction) -> int:
         wl = a.wordlength
         if self.kind == "none":
@@ -78,12 +71,6 @@ class PaddingStrategy:
             return self.amount
         if self.kind == "quadratic":
             return padding_bound(wl + wl % 2)
-        if self.kind == "custom":
-            assert self.table is not None
-            try:
-                return self.table[wl]
-            except KeyError:
-                raise ValueError(f"custom padding table has no entry for word-length {wl}") from None
         raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
@@ -136,13 +123,7 @@ def decide(
     return Verdict("undetermined", p, (), res.states, res.steps, reason)
 
 
-def equal_in_group_fc(
-    monoid: Monoid,
-    w1: SignedWord,
-    w2: SignedWord,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    lcm_budget: int = DEFAULT_LCM_BUDGET,
-) -> bool:
+def equal_in_group_fc(monoid: Monoid, w1: SignedWord, w2: SignedWord) -> bool:
     """Group equality oracle, valid when reduction is convergent (FC type).
 
     Decides cl(w1) = cl(w2) as `decide(w1 * invert(w2), assume_fc=True)`:
@@ -150,8 +131,7 @@ def equal_in_group_fc(
     presentations a False answer is meaningless.  Raises BudgetExhausted
     when the verdict is undetermined.
     """
-    v = decide(monoid, tuple(w1) + invert(tuple(w2)), assume_fc=True,
-               state_budget=state_budget, lcm_budget=lcm_budget)
+    v = decide(monoid, tuple(w1) + invert(tuple(w2)), assume_fc=True)
     if v.answer == "undetermined":
         raise BudgetExhausted(f"equality search undetermined ({v.reason})",
                               states=v.states, steps=v.steps)

@@ -11,15 +11,13 @@ the identity.
 one in-order scan of the word's length-2 factors: a factor's first two
 letters pick out the one relation factor that can start there or, where
 the sign changes, the reversing-table entry that replaces them, so nothing
-is tried twice and nothing is sorted.  With `max_len` set it checks each
-step's result length against the cap before it builds the step: an
-equivalence keeps the length, and a reversing step swaps two letters for
-its table entry.  The reachability search always uses the cap len(word),
-so no word it reaches is longer than its start, the reachable set is
-finite and the search is exhaustive without any budget at desk scale.
-(Unrestricted reversing rewrites over labels m >= 3 grow a word and are
-available from `special_neighbors` with max_len=None, but the search does
-not need them on the presentations this package targets with this engine.)
+is tried twice and nothing is sorted.  It checks each step's result length
+against a required cap before it builds the step: an equivalence keeps the
+length, and a reversing step swaps two letters for its table entry, so it
+grows the word by at most 2*m - 4 for the largest finite label m.  The
+reachability search always uses the cap len(word), so no word it reaches
+is longer than its start, the reachable set is finite and the search is
+exhaustive without any budget at desk scale.
 """
 
 from __future__ import annotations
@@ -72,36 +70,35 @@ def _relation_factors(pres: ArtinPresentation) -> dict[tuple[int, int], tuple[st
     return out
 
 
-def special_neighbors(
-    monoid: Monoid, word: SignedWord, max_len: int | None = None
-) -> list[tuple[WordStep, SignedWord]]:
+def special_neighbors(monoid: Monoid, word: SignedWord, max_len: int) -> list[tuple[WordStep, SignedWord]]:
     """All single special steps from `word`: "pos", then "neg", then
     "rrev", then "lrev" steps, each kind by position.
 
     A positive (negative) factor matching one side of a relation is always
     contained in a maximal positive (negative) run, so plain subword search
-    enumerates exactly the one-relation equivalence steps.  `max_len`
-    skips steps whose result would be longer than the cap, before they are
-    built; None keeps everything.
+    enumerates exactly the one-relation equivalence steps.  Steps whose
+    result would be longer than `max_len` are skipped before they are
+    built; a cap of len(word) + 2*m - 4, with m the largest finite label,
+    skips none.
     """
     pres = monoid.presentation
     word = tuple(word)
     factors = _relation_factors(pres)
     right, left = _tables(pres, "right"), _tables(pres, "left")
-    room = None if max_len is None else max_len - len(word)  # the growth the cap allows
+    room = max_len - len(word)  # the growth the cap allows
     found = {"pos": [], "neg": [], "rrev": [], "lrev": []}
     for k, pair in enumerate(zip(word, word[1:])):
         hit = factors.get(pair)
         if hit is not None:
             rule, fac, rep = hit
             n = len(fac)
-            if (room is None or room >= 0) and word[k : k + n] == fac:
+            if room >= 0 and word[k : k + n] == fac:
                 found[rule].append((WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :]))
         elif (pair[0] > 0) != (pair[1] > 0):
             # right reversing rewrites s^-1 t, left reversing s t^-1; a free
             # pair has no table entry and no reversing step
             rule, rep = ("rrev", right.get(pair)) if pair[0] < 0 else ("lrev", left.get(pair))
-            if rep is not None and (room is None or len(rep) - 2 <= room):
+            if rep is not None and len(rep) - 2 <= room:
                 found[rule].append((WordStep(rule, k), word[:k] + rep + word[k + 2 :]))
     return found["pos"] + found["neg"] + found["rrev"] + found["lrev"]
 

@@ -127,11 +127,12 @@ def test_criterion_02_reversing_lcm_vs_brute_force():
                         else:
                             ox, oy = rev[x.key], rev[y.key]
                         try:
-                            z = mon.lcm(side, x, y, budget=500, max_len=512)
+                            data = mon.lcm_data(side, x, y, budget=500, max_len=512)
                         except BudgetExhausted:
                             assert oracle.min_common_multiple(ox, oy) is None
                             continue
-                        assert z is not None  # no free pairs here: never blocked
+                        assert data is not None  # no free pairs here: never blocked
+                        z = data[0]
                         zo = z if side == "right" else mon.element(z.key[::-1])
                         if len(z.key) <= bound:
                             assert oracle.min_common_multiple(ox, oy) == zo

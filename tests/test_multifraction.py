@@ -68,6 +68,14 @@ def test_equality_and_key_follow_the_interned_entries(a2):
     assert z != x and z.key() != x.key()
 
 
+def test_entry_rejects_indices_outside_one_to_depth(a2):
+    x = mf(a2, "ab", "b", "a")
+    assert [str(x.entry(i)) for i in (1, 2, 3)] == ["ab", "b", "a"]
+    for i in (0, -1, 4):
+        with pytest.raises(IndexError):
+            x.entry(i)
+
+
 def test_pad(a2):
     x = mf(a2, "a", "b")
     assert str(x.pad(1)) == "1/1/a/b"

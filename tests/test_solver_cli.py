@@ -86,10 +86,6 @@ def test_strategies(a2):
     assert PaddingStrategy.quadratic().padding_for(a) == 18  # wl 4 -> 3*4*6/4
     odd = Multifraction.from_signed_word(a2, parse_signed(a2.presentation, "aba"))
     assert PaddingStrategy.quadratic().padding_for(odd) == 18  # wl 3 rounds up to 4
-    table = PaddingStrategy.custom({4: 2})
-    assert table.padding_for(a) == 2
-    with pytest.raises(ValueError):
-        table.padding_for(odd)
     with pytest.raises(ValueError):
         PaddingStrategy.constant(-1)
 
@@ -193,6 +189,16 @@ def test_cli_strategy_flags(a2t_file, capsys):
     assert rc == 2
     rc = main(["solve", "--presentation", a2t_file, "bcbCBC"])
     assert rc == 0
+
+
+def test_cli_padding_needs_constant_strategy(a2t_file, capsys):
+    for strategy in ([], ["--strategy", "quadratic"]):
+        argv = ["solve", "--presentation", a2t_file, "aB", "--padding", "1", *strategy]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+    # constant alone still pads 0
+    assert main(["solve", "--presentation", a2t_file, "aB", "--strategy", "constant"]) == 2
+    assert "(padding 0," in capsys.readouterr().out
 
 
 def test_cli_nf_pair_flag(a2t_file, capsys):

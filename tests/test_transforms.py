@@ -32,16 +32,25 @@ def words(mon, items):
     return {signed_str(mon.presentation, w) for _, w in items}
 
 
+def uncapped(mon, w):
+    """A cap no single step can exceed: reversing grows a word by at most
+    2*m - 4 for the largest finite label m."""
+    m = max((m for _, _, m in mon.presentation.labelled_pairs()), default=2)
+    return len(w) + 2 * m - 4
+
+
 def test_neighbor_examples(a2):
     p = a2.presentation
-    assert "bab" in words(a2, special_neighbors(a2, parse_signed(p, "aba")))
-    assert "" in words(a2, special_neighbors(a2, parse_signed(p, "aA")))
-    assert special_neighbors(a2, ()) == []
+    for text, expected in (("aba", "bab"), ("aA", "")):
+        w = parse_signed(p, text)
+        assert expected in words(a2, special_neighbors(a2, w, max_len=uncapped(a2, w)))
+    assert special_neighbors(a2, (), max_len=uncapped(a2, ())) == []
 
 
 def test_negative_equivalence(a2):
     p = a2.presentation
-    nb = words(a2, special_neighbors(a2, parse_signed(p, "ABA")))
+    w = parse_signed(p, "ABA")
+    nb = words(a2, special_neighbors(a2, w, max_len=uncapped(a2, w)))
     assert "BAB" in nb
 
 
@@ -55,7 +64,7 @@ def test_commutation_reversing_survives_the_length_cap():
 def test_growing_rewrites_only_without_cap(a2):
     p = a2.presentation
     w = parse_signed(p, "Ab")
-    assert words(a2, special_neighbors(a2, w)) == {"baBA"}
+    assert words(a2, special_neighbors(a2, w, max_len=uncapped(a2, w))) == {"baBA"}
     assert special_neighbors(a2, w, max_len=len(w)) == []
 
 
@@ -73,7 +82,8 @@ def test_neighbors_match_sorted_scan_of_every_position(pres, max_len):
     mon = Monoid(pres)
     for w in signed_words_up_to(pres, max_len):
         for cap in (None, len(w) - 2, len(w), len(w) + 2):
-            assert special_neighbors(mon, w, max_len=cap) == naive_special_neighbors(mon, w, cap), (w, cap)
+            got = special_neighbors(mon, w, max_len=uncapped(mon, w) if cap is None else cap)
+            assert got == naive_special_neighbors(mon, w, cap), (w, cap)
 
 
 def test_neighbors_preserve_class_and_cap_respects_length(a2):

@@ -98,7 +98,7 @@ def test_lcm_via_reversing_matches_brute_force_small():
     for x in elems:
         for y in elems:
             try:
-                rev = mon.lcm("right", x, y, budget=400, max_len=256)
+                rev = mon.lcm_data("right", x, y, budget=400, max_len=256)[0]
             except BudgetExhausted:
                 assert ms.brute_lcm("right", x, y, 10) is None
                 continue
