@@ -17,11 +17,14 @@ keyed by the elements themselves.
 Divisibility, gcd and divisor enumeration share one cached table per
 (side, element): it maps each left- (right-) divisor to one cofactor word,
 read off the prefixes (suffixes) of the class members.  The cofactor is
-unique up to the congruence by cancellativity.  Lcms and complements are
-computed by subword reversing, with budgets (see `reversing`); a budget hit
-surfaces as BudgetExhausted, never as "no lcm".  The lcm cache is keyed by
-every argument of `lcm_data` (side, both elements, step budget and length
-cap), so no answer depends on what the Monoid settled before.
+unique up to the congruence by cancellativity.  `lcm_data` returns the two
+complements of an lcm, computed by subword reversing with budgets (see
+`reversing`); a budget hit surfaces as BudgetExhausted, never as "no lcm".
+That the complements close a common multiple is checked by a second
+reversing run, so the lcm's class is built only when `lcm` asks for the
+element.  The lcm cache is keyed by every argument of `lcm_data` (side,
+both elements, step budget and length cap), so no answer depends on what
+the Monoid settled before.
 
 Elements are immutable and operations are pure.  Building a class holds a
 per-monoid lock, so threads sharing a Monoid still get one element per
@@ -239,7 +242,10 @@ class Monoid:
         which is definitive.  BudgetExhausted means undetermined.
         """
         out = self.lcm_data(side, x, y)
-        return None if out is None else out[0]
+        if out is None:
+            return None
+        c_x = out[0].key
+        return self.element(x.key + c_x if side == "right" else c_x + x.key)
 
     def lcm_data(
         self,
@@ -249,10 +255,20 @@ class Monoid:
         budget: int = DEFAULT_STEP_BUDGET,
         max_len: int | None = None,
     ):
-        """(lcm, complement-of-x, complement-of-y) or None, cached.
+        """(complement-of-x, complement-of-y) or None, cached.
 
-        side="right": x*c_x = y*c_y = lcm  (c_x = x\\y, c_y = y\\x);
-        side="left":  c_x*x = c_y*y = lcm  (c_x = y/x, c_y = x/y).
+        side="right": x*c_x = y*c_y = x v y  (c_x = x\\y, c_y = y\\x);
+        side="left":  c_x*x = c_y*y = the left-lcm  (c_x = y/x, c_y = x/y).
+
+        The common multiple is checked by reversing, not by building its
+        class: right reversing of (x c_x)^-1 (y c_y), or left reversing of
+        (c_x x)(c_y y)^-1, must end at the empty word, else StructuralError.
+        Each reversing step follows a defining relation (the tables are
+        checked against them when built), and reversing two equal positive
+        words ends at the empty word in an Artin-Tits monoid (Dehornoy,
+        "Complete positive group presentations", J. Algebra 2003).  The
+        check runs at DEFAULT_STEP_BUDGET whatever `budget` is; a trip there
+        is BudgetExhausted, cached like any other.
 
         Cached by every argument, budget and length cap included, so the
         answer depends on the arguments alone.  A budget trip is cached as
@@ -274,19 +290,17 @@ class Monoid:
         word: SignedWord = signed_of_positive(x.key, sign) + signed_of_positive(y.key, -sign)
         try:
             terminal = reverse_full(self.presentation, side, word, budget, max_len).word
+            split = split_terminal(side, terminal)
+            if split is not None:
+                # the two products are equal iff reversing the quotient of
+                # one by the other ends at the empty word (see the docstring)
+                c_x, c_y = split
+                u, v = (x.key + c_x, y.key + c_y) if side == "right" else (c_x + x.key, c_y + y.key)
+                check = signed_of_positive(u, sign) + signed_of_positive(v, -sign)
+                if reverse_full(self.presentation, side, check, DEFAULT_STEP_BUDGET).word:
+                    raise StructuralError("reversing terminal is not a common multiple")
         except BudgetExhausted:
             self._lcm_cache[key] = f"{side}-lcm of {x} and {y} undetermined within budget"
             raise
-        split = split_terminal(side, terminal)
-        if split is None:
-            self._lcm_cache[key] = None
-            return None
-        c_x, c_y = split
-        if side == "right":
-            lcm, other = self.element(x.key + c_x), self.element(y.key + c_y)
-        else:
-            lcm, other = self.element(c_x + x.key), self.element(c_y + y.key)
-        if other is not lcm:
-            raise StructuralError("reversing terminal is not a common multiple")
-        data = self._lcm_cache[key] = (lcm, self.element(c_x), self.element(c_y))
+        data = self._lcm_cache[key] = None if split is None else (self.element(c_x), self.element(c_y))
         return data

@@ -190,7 +190,7 @@ def apply_reduction(
     if data is None:
         return None
     # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
-    _, comp_x, comp_a = data
+    comp_x, comp_a = data
     prev = m.multiply(e[i - 2], comp_a) if side == "left" else m.multiply(comp_a, e[i - 2])
     return Multifraction._of(m, e[: i - 2] + (prev, comp_x, quot) + e[i + 1 :])
 
@@ -222,7 +222,7 @@ def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[lis
                 continue
             if data is not None:
                 # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
-                _, comp_x, comp_a = data
+                comp_x, comp_a = data
                 new_prev = element(prev.key + comp_a.key if side == "left" else comp_a.key + prev.key)
                 child = entries[: i - 2] + (new_prev, comp_x, element(cofactors[x])) + entries[i + 1 :]
                 children.append((ReductionStep(i, x), child))

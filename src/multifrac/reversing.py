@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, StructuralError
 from .presentation import ArtinPresentation, alternating_word
 from .words import SignedWord, runs
 
@@ -41,7 +41,8 @@ def _tables(pres: ArtinPresentation, side: str) -> dict[tuple[int, int], tuple[i
 
     Keys are length-2 signed factors; the value () means deletion.  Factors
     absent from the map are either of the wrong sign pattern or blocked
-    (free pair).
+    (free pair).  Every entry is checked against `pres.relations()` when the
+    table is built, so a reversing run proves equalities on its own.
     """
     enc = lambda w: tuple(pres.index(g) + 1 for g in w)
     table: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -68,7 +69,30 @@ def _tables(pres: ArtinPresentation, side: str) -> dict[tuple[int, int], tuple[i
                     v = enc(alternating_word(s, t, m - 1))
                     u = enc(alternating_word(t, s, m - 1))
                 table[(si, -ti)] = tuple(-c for c in reversed(v)) + u
+    _check_table(pres, side, table)
     return table
+
+
+def _check_table(pres: ArtinPresentation, side: str, table: dict) -> None:
+    """Raise StructuralError unless every entry follows a defining relation.
+
+    Right: s^-1 t -> v u^-1 needs s v = t u; left: s t^-1 -> v^-1 u needs
+    v s = u t.  Deletion (s = t, v = u = 1) is the trivial case.
+    """
+    relations = set()
+    for rel in pres.relations():
+        lhs, rhs = pres.encode(rel.lhs), pres.encode(rel.rhs)
+        relations |= {(lhs, rhs), (rhs, lhs)}
+    for (a, b), rep in table.items():
+        s, t = (-a, b) if side == "right" else (a, -b)
+        split = split_terminal(side, rep)
+        if s > 0 and t > 0 and split is not None:
+            v, u = split
+            s, t = bytes([s - 1]), bytes([t - 1])
+            pair = (s + v, t + u) if side == "right" else (v + s, u + t)
+            if pair in relations or (s == t and not v and not u):
+                continue
+        raise StructuralError(f"{side} reversing table entry {(a, b)} -> {rep} is not a defining relation")
 
 
 def reverse_step(
@@ -113,34 +137,33 @@ def reverse_full(
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     table = _tables(pres, side)
-    w = list(word)
+    # done + reversed(todo) is the current word, and no factor inside `done`
+    # applies, so the first factor (done[-1], c) that applies is the leftmost
+    done: list[int] = []
+    todo = list(reversed(word))
     steps = 0
-    scan = 0  # everything left of `scan` is known inapplicable
-    while True:
-        pos = -1
-        for k in range(scan, len(w) - 1):
-            if (w[k], w[k + 1]) in table:
-                pos = k
-                break
-        if pos < 0:
-            return ReversalResult(tuple(w), steps)
+    while todo:
+        c = todo.pop()
+        rep = table.get((done[-1], c)) if done else None
+        if rep is None:
+            done.append(c)
+            continue
         if steps >= budget:
             raise BudgetExhausted(
                 f"{side} reversing did not settle within {budget} steps",
                 steps=steps,
-                word_length=len(w),
+                word_length=len(done) + 1 + len(todo),
             )
-        rep = table[(w[pos], w[pos + 1])]
-        w[pos : pos + 2] = rep
+        done.pop()
+        todo += rep[::-1]
         steps += 1
-        if max_len is not None and len(w) > max_len:
+        if max_len is not None and len(done) + len(todo) > max_len:
             raise BudgetExhausted(
                 f"{side} reversing exceeded the word-length cap {max_len}",
                 steps=steps,
-                word_length=len(w),
+                word_length=len(done) + len(todo),
             )
-        # a rewrite can only create new factors adjacent to the spot it touched
-        scan = max(0, pos - 1)
+    return ReversalResult(tuple(done), steps)
 
 
 def split_terminal(side: str, word: SignedWord) -> tuple[bytes, bytes] | None:

@@ -96,7 +96,7 @@ def apply_split(a: Multifraction, step: SplitStep) -> Multifraction | None:
     data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN)
     if data is None:
         return None
-    _, comp_x, comp_y = data
+    comp_x, comp_y = data
     return Multifraction._of(m, e[: i - 1] + (b_i, comp_y, comp_x, b_last) + e[i + 1 :])
 
 
@@ -149,7 +149,7 @@ def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
                     complete = False
                     continue
                 if data is not None:
-                    _, comp_x, comp_y = data
+                    comp_x, comp_y = data
                     b_last = a_next if x is one else element(x_cofactors[x])
                     children.append((SplitStep(i, x, y), head + (b_i, comp_y, comp_x, b_last) + tail))
     return children, complete

@@ -132,7 +132,8 @@ def test_criterion_02_reversing_lcm_vs_brute_force():
                             assert oracle.min_common_multiple(ox, oy) is None
                             continue
                         assert data is not None  # no free pairs here: never blocked
-                        z = data[0]
+                        c_x = data[0]
+                        z = mon.multiply(x, c_x) if side == "right" else mon.multiply(c_x, x)
                         zo = z if side == "right" else mon.element(z.key[::-1])
                         if len(z.key) <= bound:
                             assert oracle.min_common_multiple(ox, oy) == zo

@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
-from multifrac import ArtinPresentation, BudgetExhausted, Monoid, kernel_backend
+from multifrac import ArtinPresentation, BudgetExhausted, Monoid, StructuralError, kernel_backend
+from multifrac import monoid as monoid_module
+from multifrac import reversing
 from multifrac.monoid import MonoidElement, congruence_class
 
 from oracles import MultipleSets, all_threes, braid_pair
@@ -201,12 +203,12 @@ def test_complement_identities(a2):
     words = ["a", "b", "ab", "ba", "aab", "aba"]
     for _ in range(40):
         x, y = e(rng.choice(words)), e(rng.choice(words))
-        under = a2.lcm_data("right", x, y)[1]
+        under = a2.lcm_data("right", x, y)[0]
         assert a2.multiply(x, under) == a2.lcm("right", x, y)
-        over = a2.lcm_data("left", x, y)[2]
+        over = a2.lcm_data("left", x, y)[1]
         assert a2.multiply(over, y) == a2.lcm("left", x, y)
-    assert a2.lcm_data("right", e("ab"), e("ab"))[1] == a2.identity
-    assert a2.lcm_data("right", e("a"), e("b"))[1] == e("ba")
+    assert a2.lcm_data("right", e("ab"), e("ab"))[0] == a2.identity
+    assert a2.lcm_data("right", e("a"), e("b"))[0] == e("ba")
 
 
 def test_lcm_budget_exhaustion_distinct_from_absent():
@@ -251,6 +253,51 @@ def test_lcm_answer_is_keyed_by_budget_and_length_cap():
         with pytest.raises(BudgetExhausted) as on_settled:
             mon.lcm_data("right", x, y, **options)
         assert str(on_settled.value) == str(on_fresh.value)
+
+
+def test_lcm_data_builds_no_class_of_the_lcm():
+    for side in ("right", "left"):
+        mon = Monoid(A3)
+        x, y = mon.element("ab"), mon.element("bc")
+        c_x, c_y = mon.lcm_data(side, x, y)
+        if side == "right":
+            products = (x.key + c_x.key, y.key + c_y.key)
+        else:
+            products = (c_x.key + x.key, c_y.key + y.key)
+        assert not any(w in mon._elements for w in products)
+        assert mon.element(products[0]) is mon.element(products[1])
+
+
+def test_lcm_check_catches_a_table_that_breaks_a_relation():
+    # a^-1 a -> b b^-1 in place of deletion: reversing a^-1 b still ends
+    # positive-negative, but (a c_a)^-1 (b c_b) no longer reverses to the empty
+    # word.  (A relation entry corrupted after the build is not caught here:
+    # both runs read the same entry; the build-time table check catches it.)
+    table = reversing._tables(A3, "right")
+    entry = (-1, 1)
+    saved = table[entry]
+    try:
+        table[entry] = (2, -2)
+        mon = Monoid(A3)
+        with pytest.raises(StructuralError):
+            mon.lcm_data("right", mon.element("a"), mon.element("b"))
+    finally:
+        table[entry] = saved
+        reversing._tables.cache_clear()
+
+
+def test_lcm_check_trips_its_own_budget_and_caches_it(monkeypatch):
+    mon = Monoid(A3)
+    x, y = mon.element("a"), mon.element("b")
+    monkeypatch.setattr(monoid_module, "DEFAULT_STEP_BUDGET", 1)
+    with pytest.raises(BudgetExhausted):
+        mon.lcm_data("right", x, y, budget=100)  # reversing a^-1 b takes one step
+    assert isinstance(mon._lcm_cache[("right", x, y, 100, None)], str)
+    monkeypatch.undo()
+    with pytest.raises(BudgetExhausted):
+        mon.lcm_data("right", x, y, budget=100)
+    fresh = Monoid(A3)
+    assert fresh.lcm_data("right", fresh.element("a"), fresh.element("b"), budget=100) is not None
 
 
 def test_lcm_agrees_with_brute_force_on_existing(a2):
@@ -306,8 +353,11 @@ def test_operations_return_interned_elements(pres):
                     data = m.lcm_data(side, x, y, budget=200, max_len=64)
                 except BudgetExhausted:
                     continue
-                for z in data or ():
-                    interned(z)
+                if data is not None:
+                    c_x, c_y = data
+                    lcm = m.multiply(x, c_x) if side == "right" else m.multiply(c_x, x)
+                    for z in (lcm, c_x, c_y):
+                        interned(z)
 
 
 def test_equal_presentations_give_distinct_elements(a2):

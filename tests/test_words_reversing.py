@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multifrac import BudgetExhausted, Monoid, equal_in_group_fc
+from multifrac import ArtinPresentation, BudgetExhausted, Monoid, StructuralError, equal_in_group_fc, reversing
 from multifrac.reversing import reverse_full, reverse_step
 from multifrac.words import free_reduce, invert, parse_signed, runs, signed_str
 
@@ -78,6 +78,36 @@ def test_reverse_budget_exhaustion_is_detected():
         reverse_full(p, "right", sw(p, "BAc"), budget=10**6, max_len=64)
 
 
+def test_reverse_full_is_the_leftmost_step_loop():
+    # terminal, step count and every budget trip's stats match a loop that
+    # applies reverse_step at the leftmost position where it applies
+    def leftmost(pres, side, w, budget, max_len):
+        steps = 0
+        while True:
+            pos = next((k for k in range(len(w) - 1) if reverse_step(pres, side, w, k) is not None), None)
+            if pos is None:
+                return w, steps
+            if steps >= budget:
+                return {"steps": steps, "word_length": len(w)}
+            w, steps = reverse_step(pres, side, w, pos), steps + 1
+            if max_len is not None and len(w) > max_len:
+                return {"steps": steps, "word_length": len(w)}
+
+    rng = random.Random(12)
+    free = ArtinPresentation("abc", {("a", "b"): 3})
+    for pres in (braid_pair(3), braid_pair(4), all_threes(), free):
+        for _ in range(150):
+            w = random_signed_word(rng, pres, rng.randint(0, 9))
+            budget, max_len = rng.choice((3, 40, 200)), rng.choice((None, 8, 40))
+            for side in ("right", "left"):
+                try:
+                    res = reverse_full(pres, side, w, budget, max_len)
+                    got = (res.word, res.steps)
+                except BudgetExhausted as trip:
+                    got = trip.stats
+                assert got == leftmost(pres, side, w, budget, max_len)
+
+
 def test_reversing_preserves_group_element():
     # each step keeps the class; checked with the convergent-type oracle
     rng = random.Random(9)
@@ -90,6 +120,20 @@ def test_reversing_preserves_group_element():
             assert equal_in_group_fc(mon, w, res.word)
 
 
+def test_reversing_tables_are_checked_against_the_relations(monkeypatch):
+    pres = all_threes()
+    # t s t ... where s t s ... belongs: no table entry follows its relation
+    monkeypatch.setattr(reversing, "alternating_word", lambda s, t, n: tuple((t, s)[k % 2] for k in range(n)))
+    reversing._tables.cache_clear()
+    try:
+        for side in ("right", "left"):
+            with pytest.raises(StructuralError):
+                reverse_full(pres, side, sw(pres, "Ab" if side == "right" else "aB"))
+    finally:
+        monkeypatch.undo()
+        reversing._tables.cache_clear()
+
+
 def test_lcm_via_reversing_matches_brute_force_small():
     # a quick low-volume version of the full acceptance sweep
     mon = Monoid(all_threes())
@@ -98,8 +142,9 @@ def test_lcm_via_reversing_matches_brute_force_small():
     for x in elems:
         for y in elems:
             try:
-                rev = mon.lcm_data("right", x, y, budget=400, max_len=256)[0]
+                c_x = mon.lcm_data("right", x, y, budget=400, max_len=256)[0]
             except BudgetExhausted:
                 assert ms.brute_lcm("right", x, y, 10) is None
                 continue
+            rev = mon.multiply(x, c_x)
             assert rev == ms.brute_lcm("right", x, y, max(10, len(rev.key)))
