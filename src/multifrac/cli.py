@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="multifrac", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -62,31 +69,31 @@ def _build_parser() -> _Parser:
                     help="trust the presentation to be of FC type (reduction "
                          "convergent), making an exhausted search a proof of "
                          "nontriviality at any padding")
-    sp.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
-    sp.add_argument("--lcm-budget", type=int, default=DEFAULT_LCM_BUDGET)
+    sp.add_argument("--state-budget", type=_nonnegative_int, default=DEFAULT_STATE_BUDGET)
+    sp.add_argument("--lcm-budget", type=_nonnegative_int, default=DEFAULT_LCM_BUDGET)
     sp.add_argument("--json", action="store_true", help="emit the verdict as JSON")
 
     sp = sub.add_parser("reduce", help="greedily reduce a multifraction to an irreducible one")
     with_presentation(sp)
     sp.add_argument("word")
-    sp.add_argument("--max-steps", type=int, default=10_000)
+    sp.add_argument("--max-steps", type=_nonnegative_int, default=10_000)
 
     sp = sub.add_parser("split", help="search for a trivializing split-reduction trace")
     with_presentation(sp)
     sp.add_argument("word")
-    sp.add_argument("--state-budget", type=int, default=DEFAULT_SPLIT_STATE_BUDGET)
-    sp.add_argument("--max-depth", type=int, default=None)
+    sp.add_argument("--state-budget", type=_nonnegative_int, default=DEFAULT_SPLIT_STATE_BUDGET)
+    sp.add_argument("--max-depth", type=_nonnegative_int, default=None)
 
     sp = sub.add_parser("reverse", help="fully reverse a signed word")
     with_presentation(sp)
     sp.add_argument("word")
     sp.add_argument("--side", choices=["right", "left"], default="right")
-    sp.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET)
+    sp.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_STEP_BUDGET)
 
     sp = sub.add_parser("proph", help="search for an emptying sequence of special transformations")
     with_presentation(sp)
     sp.add_argument("word")
-    sp.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    sp.add_argument("--state-budget", type=_nonnegative_int, default=DEFAULT_STATE_BUDGET)
 
     for name, what in (("lcm", "least common multiple"), ("gcd", "greatest common divisor")):
         sp = sub.add_parser(name, help=f"{what} of two positive words")
@@ -119,9 +126,21 @@ def _trace_lines(trace) -> list[str]:
     return [str(step.json_obj()) for step in trace]
 
 
+_parser: _Parser | None = None
+
+
+def _get_parser() -> _Parser:
+    """The parser, built on first use: building it costs about as much as a
+    small query, and parsing leaves it unchanged."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    return _parser
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _get_parser().parse_args(argv)
         return _dispatch(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

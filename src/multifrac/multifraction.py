@@ -15,10 +15,15 @@ Reduction preserves the represented group element and the depth.  On a
 noetherian monoid it terminates, so the reachable set from any start is
 finite and breadth-first search decides whether the all-trivial
 multifraction is reachable -- which, when reduction is semi-convergent
-(e.g. FC type), decides the word problem.  The search's states are raw
-entry tuples of interned elements, expanded by one kernel that settles
-each lcm once, `_reduction_children`; `Multifraction` objects are built
-only at the API boundary.
+(e.g. FC type), decides the word problem.  The search runs on compact
+states (`_CompactStates`): each element met gets a dense int id, the
+identity 0, and a state is the bytes of its entries' 4-byte ids.  A step
+at position i reads and writes only a_{i-1}, a_i and a_{i+1}, so each
+window's children are computed once per search, keyed by i's parity and
+the window's ids, and a child is built by bytes slicing.  The id table
+and the window memo are dropped when the search returns.
+`_reduction_children` reads the same kernel for a single state;
+`Multifraction` objects are built only at the API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
 enumeration is budgeted.  A search that had to skip an undetermined lcm
@@ -29,8 +34,10 @@ either way.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from operator import attrgetter
+from struct import Struct
 
 from .errors import BudgetExhausted
 from .monoid import Monoid, MonoidElement
@@ -195,38 +202,110 @@ def apply_reduction(
     return Multifraction._of(m, e[: i - 2] + (prev, comp_x, quot) + e[i + 1 :])
 
 
-def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[list, bool]:
-    """Every (ReductionStep, child entries) of a state, ordered by (i, x).
+# a compact state holds one native unsigned int ("I", 4 bytes) per entry
+_pack2, _pack3 = Struct("2I").pack, Struct("3I").pack
 
-    These are the children `apply_reduction` gives, from one divisor table
-    read per position and one lcm per candidate.  The flag is False when
-    a candidate was skipped because its lcm ran out of budget.
+
+class _Ids(dict):
+    """element -> dense id, in order of first lookup; `elems` maps back."""
+
+    __slots__ = ("elems",)
+
+    def __missing__(self, e: MonoidElement) -> int:
+        j = self[e] = len(self.elems)
+        self.elems.append(e)
+        return j
+
+
+class _CompactStates:
+    """One search's compact states and window memo.
+
+    Each element met gets a dense int id, the identity 0, and a state is
+    the `bytes` of its entries' 4-byte ids, so a child is built, hashed and
+    compared as one bytes object.  A step at position i reads and writes
+    only the window a_{i-1}, a_i, a_{i+1} (a_1, a_2 when i = 1), so its
+    children depend only on i's parity and the window's ids: `_memos[i % 2]`
+    maps the window's bytes to its encoded (x, replacement) rows, ordered by
+    x, and a flag that is False when an lcm ran out of budget.  Each window
+    is computed once, from the divisor tables and `Monoid.lcm_data`; only
+    those misses read the Monoid.  The 8-byte i = 1 windows cannot collide
+    with the 12-byte ones of odd i >= 3.  The table and the memo live as
+    long as the search that made them.
     """
-    element, children, complete = m.element, [], True
-    for i in range(1, len(entries)):
-        if not entries[i].key:
-            continue
+
+    __slots__ = ("monoid", "lcm_budget", "ids", "_memos")
+
+    def __init__(self, monoid: Monoid, lcm_budget: int):
+        self.monoid = monoid
+        self.lcm_budget = lcm_budget
+        self.ids = _Ids({monoid.identity: 0})
+        self.ids.elems = [monoid.identity]
+        self._memos: tuple[dict, dict] = ({}, {})
+
+    def encode(self, entries) -> bytes:
+        return array("I", map(self.ids.__getitem__, entries)).tobytes()
+
+    def decode(self, state: bytes) -> tuple:
+        return tuple(map(self.ids.elems.__getitem__, memoryview(state).cast("I")))
+
+    def children(self, state: bytes) -> tuple[list, bool]:
+        """Every ((i, x), child state), ordered by (i, x), and False when a
+        candidate was skipped because its lcm ran out of budget."""
+        ids = memoryview(state).cast("I")
+        memos, children, complete = self._memos, [], True
+        # a step at i needs a_{i+1} != 1, so the scan starts at the first nonzero entry
+        for i in range(max(1, (len(state) - len(state.lstrip(b"\0"))) >> 2), len(ids)):
+            if not ids[i]:
+                continue
+            lo, hi = (4 * i - 8 if i > 1 else 0), 4 * i + 4
+            window = state[lo:hi]
+            memo = memos[i & 1]
+            hit = memo.get(window)
+            if hit is None:
+                hit = memo[window] = self._window(i, ids)
+            rows, settled = hit
+            complete = complete and settled
+            if rows:
+                head, tail = state[:lo], state[hi:]
+                children += [((i, x), head + rep + tail) for x, rep in rows]
+        return children, complete
+
+    def _window(self, i: int, ids) -> tuple[list, bool]:
+        """The rule at position i of a state, on its window alone."""
+        m, element, id_of = self.monoid, self.monoid.element, self.ids
+        elems = id_of.elems
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
-        divs, cofactors = m._divisor_table(side, entries[i])  # divs[0] is 1
+        divs, cofactors = m._divisor_table(side, elems[ids[i]])  # divs[0] is 1
         if i == 1:
-            first = m._divisor_table("right", entries[0])[1]
-            children += [(ReductionStep(1, x), (element(first[x]), element(cofactors[x])) + entries[2:])
-                         for x in divs[1:] if x in first]
-            continue
-        prev, cur = entries[i - 2], entries[i - 1]
+            first = m._divisor_table("right", elems[ids[0]])[1]
+            return [(x, _pack2(id_of[element(first[x])], id_of[element(cofactors[x])]))
+                    for x in divs[1:] if x in first], True
+        prev, cur = elems[ids[i - 2]], elems[ids[i - 1]]
+        rows, settled = [], True
         for x in divs[1:]:
             try:
-                data = m.lcm_data(lcm_side, x, cur, lcm_budget, DEFAULT_LCM_MAX_LEN)
+                data = m.lcm_data(lcm_side, x, cur, self.lcm_budget, DEFAULT_LCM_MAX_LEN)
             except BudgetExhausted:
-                complete = False
+                settled = False
                 continue
             if data is not None:
                 # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
                 comp_x, comp_a = data
                 new_prev = element(prev.key + comp_a.key if side == "left" else comp_a.key + prev.key)
-                child = entries[: i - 2] + (new_prev, comp_x, element(cofactors[x])) + entries[i + 1 :]
-                children.append((ReductionStep(i, x), child))
-    return children, complete
+                rows.append((x, _pack3(id_of[new_prev], id_of[comp_x], id_of[element(cofactors[x])])))
+        return rows, settled
+
+
+def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[list, bool]:
+    """Every (ReductionStep, child entries) of a state, ordered by (i, x).
+
+    These are the children `apply_reduction` gives, read off the search's
+    kernel, `_CompactStates.children`.  The flag is False when a candidate
+    was skipped because its lcm ran out of budget.
+    """
+    states = _CompactStates(m, lcm_budget)
+    children, complete = states.children(states.encode(entries))
+    return [(ReductionStep(i, x), states.decode(child)) for (i, x), child in children], complete
 
 
 def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:
@@ -311,9 +390,23 @@ def search_reduction(
     Succeeds on the first multifraction of wordlength <= target_wordlength
     (0 = the all-trivial target); the BFS order plus the deterministic
     child ordering make the returned trace the canonical shortest one.
+    The search runs on `_CompactStates`: each state is the bytes of its
+    entries' ids, each window's rows are computed once, and the id table
+    and the window memo are dropped when the search returns.  The engine
+    records each step as (i, x); `ReductionStep`s are built only for the
+    returned trace.
     """
-    return _search(a.entries, lambda e: _reduction_children(a.monoid, e, lcm_budget),
-                   lambda e: _wordlength(e) <= target_wordlength, state_budget)
+    states = _CompactStates(a.monoid, lcm_budget)
+    start = states.encode(a.entries)
+    if target_wordlength == 0:
+        is_target = bytes(len(start)).__eq__  # every id 0: the all-trivial state
+    else:
+        def is_target(state):
+            return _wordlength(states.decode(state)) <= target_wordlength
+    res = _search(start, states.children, is_target, state_budget)
+    if res.trace:
+        res = replace(res, trace=tuple(ReductionStep(i, x) for i, x in res.trace))
+    return res
 
 
 def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:

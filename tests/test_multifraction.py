@@ -12,8 +12,9 @@ from multifrac import (
     equal_in_group_fc,
     reduces_to_trivial,
     reduction_step_candidates,
+    search_reduction,
 )
-from multifrac.multifraction import _reduction_children
+from multifrac.multifraction import _reduction_children, _search
 from multifrac.words import parse_signed
 
 from oracles import (
@@ -188,6 +189,42 @@ def test_reduction_children_match_apply_reduction(pres, max_len):
             assert _reduction_children(mon, start.entries, 1000) == want, (w, p)
             steps, complete = reduction_step_candidates(start)
             assert (steps, complete) == ([s for s, _ in want[0]], want[1])
+
+
+def _tuple_search(a, lcm_budget, state_budget):
+    """The reference search: the engine on raw entry tuples, through the oracle."""
+    m = a.monoid
+    return _search(a.entries, lambda e: _applied_children(Multifraction._of(m, e), lcm_budget),
+                   lambda e: not any(x.key for x in e), state_budget)
+
+
+def _pinned(res):
+    return (res.found, res.complete, res.states, res.steps, res.reason,
+            [step.json_obj() for step in res.trace])
+
+
+@pytest.mark.parametrize(
+    "pres, max_len, edge_starts",
+    [(braid_pair(3), 4, [("abab",), ("aba", "ab"), ("", "", "", "", "", "", "abab")]),
+     (braid_pair(4), 4, [("abab",), ("abab", "ba"), ("", "", "", "", "bab")]),
+     (A3, 3, [("abca",), ("ac", "ca"), ("", "", "", "", "cab")]),
+     (all_threes(), 3, [("abc",), ("ab", "cb"), ("", "", "", "", "", "", "abca")])],
+    ids=["I2(3)", "I2(4)", "A3", "A2~"],
+)
+def test_compact_search_matches_tuple_search(pres, max_len, edge_starts):
+    # the kernel test's words at paddings 0-2, then three edge cases: depth 1;
+    # depth 2, where only the i = 1 rule applies; and a padded start whose
+    # only nonempty entry is the last one
+    mon = Monoid(pres)
+    starts = [Multifraction.from_signed_word(mon, w).pad(p)
+              for w in signed_words_up_to(pres, max_len) for p in (0, 1, 2)]
+    starts += [Multifraction(mon, entries) for entries in edge_starts]
+    for start in starts:
+        for lcm_budget in (1000, 1):
+            for state_budget in (10**6, 5):
+                got = search_reduction(start, state_budget=state_budget, lcm_budget=lcm_budget)
+                want = _tuple_search(start, lcm_budget, state_budget)
+                assert _pinned(got) == _pinned(want), (str(start), lcm_budget, state_budget)
 
 
 def test_reduction_children_skip_unsettled_lcms():

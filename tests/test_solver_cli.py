@@ -280,6 +280,47 @@ def test_cli_usage_errors(a2_file, capsys):
     assert main(["nf", "--presentation", a2_file, "a"]) == 3  # pair not inferable
 
 
+NEGATIVE_FLAGS = [
+    ("solve", "abaBAB", "--state-budget"),
+    ("solve", "abaBAB", "--lcm-budget"),
+    ("reduce", "abaBAB", "--max-steps"),
+    ("split", "abaBAB", "--max-depth"),
+    ("split", "abaBAB", "--state-budget"),
+    ("reverse", "Ab", "--budget"),
+    ("proph", "abaBAB", "--state-budget"),
+]
+
+
+@pytest.mark.parametrize("command, word, flag", NEGATIVE_FLAGS,
+                         ids=[f"{c}{f}" for c, _, f in NEGATIVE_FLAGS])
+def test_cli_negative_budgets_are_usage_errors(a2_file, capsys, command, word, flag):
+    assert main([command, "--presentation", a2_file, word, flag, "-1"]) == 3
+    assert capsys.readouterr().out == ""
+    # 0 keeps its meaning: a budget or cap that allows nothing
+    assert main([command, "--presentation", a2_file, word, flag, "0"]) != 3
+    capsys.readouterr()
+
+
+def test_cli_builds_its_parser_once(a2_file, monkeypatch, capsys):
+    from multifrac import cli
+
+    build, built = cli._build_parser, []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    assert main(["solve", "--presentation", a2_file, "abaBAB"]) == 0
+    assert main(["solve", "--presentation", a2_file, "a", "--assume-fc"]) == 1
+    assert main(["solve", "--presentation", a2_file, "a", "--strategy", "nope"]) == 3
+    assert main(["reverse", "--presentation", a2_file, "Ab"]) == 0
+    assert main(["bound", "4"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
 def test_cli_byte_identical_json(a2_file):
     cmd = [sys.executable, "-m", "multifrac", "solve", "--presentation", a2_file,
            "abaBAB", "--json"]
