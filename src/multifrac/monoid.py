@@ -85,11 +85,6 @@ class MonoidElement:
     def word(self) -> tuple[str, ...]:
         return self.monoid.presentation.decode(self.key)
 
-    @property
-    def class_words(self) -> frozenset[tuple[str, ...]]:
-        dec = self.monoid.presentation.decode
-        return frozenset(dec(w) for w in self.cls)
-
     def divides(self, other: "MonoidElement", side: str = "left") -> bool:
         return self.monoid.divide(side, self, other) is not None
 
@@ -165,11 +160,6 @@ class Monoid:
 
     def atoms(self) -> tuple[MonoidElement, ...]:
         return tuple(self.element(bytes([i])) for i in range(len(self.presentation.generators)))
-
-    @property
-    def rewrite_rules(self) -> tuple[tuple[bytes, bytes], ...]:
-        """Both orientations of every defining relation, in word encoding."""
-        return self._rules
 
     # -- multiplication and divisibility ---------------------------------
 

@@ -16,12 +16,13 @@ noetherian monoid it terminates, so the reachable set from any start is
 finite and breadth-first search decides whether the all-trivial
 multifraction is reachable -- which, when reduction is semi-convergent
 (e.g. FC type), decides the word problem.  The search runs on compact
-states (`_CompactStates`): each element met gets a dense int id, the
-identity 0, and a state is the bytes of its entries' 4-byte ids.  A step
-at position i reads and writes only a_{i-1}, a_i and a_{i+1}, so each
-window's children are computed once per search, keyed by i's parity and
-the window's ids, and a child is built by bytes slicing.  The id table
-and the window memo are dropped when the search returns.
+states (`_CompactStates`, shared with the split search): each element
+met gets a dense int id, the identity 0, and a state is the bytes of its
+entries' 4-byte ids.  A step at position i reads and writes only a_{i-1},
+a_i and a_{i+1}, so each window's children are computed once per search,
+keyed by i's parity and the window's ids, and a child is built by bytes
+slicing (`_ReductionStates`).  The id table and the window memo are
+dropped when the search returns.
 `_reduction_children` reads the same kernel for a single state;
 `Multifraction` objects are built only at the API boundary.
 
@@ -64,10 +65,6 @@ DEFAULT_LCM_BUDGET = 1_000
 DEFAULT_LCM_MAX_LEN = 512
 
 
-def _wordlength(entries) -> int:
-    return sum(map(len, map(attrgetter("key"), entries)))
-
-
 class Multifraction:
     """An immutable sequence of monoid elements with alternating signs."""
 
@@ -94,7 +91,7 @@ class Multifraction:
 
     @property
     def wordlength(self) -> int:
-        return _wordlength(self.entries)
+        return sum(map(len, map(attrgetter("key"), self.entries)))
 
     def is_trivial(self) -> bool:
         return self.wordlength == 0
@@ -207,13 +204,20 @@ _pack2, _pack3 = Struct("2I").pack, Struct("3I").pack
 
 
 class _Ids(dict):
-    """element -> dense id, in order of first lookup; `elems` maps back."""
+    """element -> dense id, in order of first lookup, the identity 0;
+    `elems` maps each id back and `lengths` gives its word length."""
 
-    __slots__ = ("elems",)
+    __slots__ = ("elems", "lengths")
+
+    def __init__(self, identity: MonoidElement):
+        super().__init__({identity: 0})
+        self.elems = [identity]
+        self.lengths = [0]
 
     def __missing__(self, e: MonoidElement) -> int:
         j = self[e] = len(self.elems)
         self.elems.append(e)
+        self.lengths.append(len(e.key))
         return j
 
 
@@ -222,15 +226,13 @@ class _CompactStates:
 
     Each element met gets a dense int id, the identity 0, and a state is
     the `bytes` of its entries' 4-byte ids, so a child is built, hashed and
-    compared as one bytes object.  A step at position i reads and writes
-    only the window a_{i-1}, a_i, a_{i+1} (a_1, a_2 when i = 1), so its
-    children depend only on i's parity and the window's ids: `_memos[i % 2]`
-    maps the window's bytes to its encoded (x, replacement) rows, ordered by
-    x, and a flag that is False when an lcm ran out of budget.  Each window
-    is computed once, from the divisor tables and `Monoid.lcm_data`; only
-    those misses read the Monoid.  The 8-byte i = 1 windows cannot collide
-    with the 12-byte ones of odd i >= 3.  The table and the memo live as
-    long as the search that made them.
+    compared as one bytes object.  A rule at position i reads and writes
+    only a few neighbouring entries, so its children depend only on i's
+    parity and that window's ids: `_memos[i % 2]` maps the window's bytes
+    to what the kernel computed for it, and only those misses read the
+    Monoid.  A subclass is one rewrite system's kernel: `_ReductionStates`
+    here, `split._SplitStates` for split reduction.  The table and the
+    memo live as long as the search that made them.
     """
 
     __slots__ = ("monoid", "lcm_budget", "ids", "_memos")
@@ -238,8 +240,7 @@ class _CompactStates:
     def __init__(self, monoid: Monoid, lcm_budget: int):
         self.monoid = monoid
         self.lcm_budget = lcm_budget
-        self.ids = _Ids({monoid.identity: 0})
-        self.ids.elems = [monoid.identity]
+        self.ids = _Ids(monoid.identity)
         self._memos: tuple[dict, dict] = ({}, {})
 
     def encode(self, entries) -> bytes:
@@ -247,6 +248,22 @@ class _CompactStates:
 
     def decode(self, state: bytes) -> tuple:
         return tuple(map(self.ids.elems.__getitem__, memoryview(state).cast("I")))
+
+    def wordlength(self, state: bytes) -> int:
+        return sum(map(self.ids.lengths.__getitem__, memoryview(state).cast("I")))
+
+
+class _ReductionStates(_CompactStates):
+    """The reduction rule on compact states.
+
+    A step at position i reads and writes only the window a_{i-1}, a_i,
+    a_{i+1} (a_1, a_2 when i = 1); the window's memo entry holds its
+    encoded (x, replacement) rows, ordered by x, and a flag that is False
+    when an lcm ran out of budget.  The 8-byte i = 1 windows cannot
+    collide with the 12-byte ones of odd i >= 3.
+    """
+
+    __slots__ = ()
 
     def children(self, state: bytes) -> tuple[list, bool]:
         """Every ((i, x), child state), ordered by (i, x), and False when a
@@ -300,10 +317,10 @@ def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[lis
     """Every (ReductionStep, child entries) of a state, ordered by (i, x).
 
     These are the children `apply_reduction` gives, read off the search's
-    kernel, `_CompactStates.children`.  The flag is False when a candidate
+    kernel, `_ReductionStates.children`.  The flag is False when a candidate
     was skipped because its lcm ran out of budget.
     """
-    states = _CompactStates(m, lcm_budget)
+    states = _ReductionStates(m, lcm_budget)
     children, complete = states.children(states.encode(entries))
     return [(ReductionStep(i, x), states.decode(child)) for (i, x), child in children], complete
 
@@ -390,19 +407,19 @@ def search_reduction(
     Succeeds on the first multifraction of wordlength <= target_wordlength
     (0 = the all-trivial target); the BFS order plus the deterministic
     child ordering make the returned trace the canonical shortest one.
-    The search runs on `_CompactStates`: each state is the bytes of its
+    The search runs on `_ReductionStates`: each state is the bytes of its
     entries' ids, each window's rows are computed once, and the id table
     and the window memo are dropped when the search returns.  The engine
     records each step as (i, x); `ReductionStep`s are built only for the
     returned trace.
     """
-    states = _CompactStates(a.monoid, lcm_budget)
+    states = _ReductionStates(a.monoid, lcm_budget)
     start = states.encode(a.entries)
     if target_wordlength == 0:
         is_target = bytes(len(start)).__eq__  # every id 0: the all-trivial state
     else:
         def is_target(state):
-            return _wordlength(states.decode(state)) <= target_wordlength
+            return states.wordlength(state) <= target_wordlength
     res = _search(start, states.children, is_target, state_budget)
     if res.trace:
         res = replace(res, trace=tuple(ReductionStep(i, x) for i, x in res.trace))

@@ -13,10 +13,16 @@ terminate in general (there are loops already over the three-generator
 all-threes presentation), so searches here are always budget-bound and
 only a positive answer is definitive.
 
-The search's states are raw entry tuples of interned elements, expanded
-by one kernel, `_split_children`, that reads each entry's divisor table
-once per position, settles each lcm once and builds each child by tuple
-slicing; `Multifraction` objects are built only at the API boundary.
+The search runs on the compact states the reduction search uses
+(`multifraction._CompactStates`): each element met gets a dense int id,
+the identity 0, and a state is the bytes of its entries' 4-byte ids.  A
+split at i reads only a_i and a_{i+1}, and a trim at i only a_i, a_{i+1}
+and a_{i+2}, so each window's children are computed once per search,
+keyed by i's parity and the window's ids, from the divisor tables and
+`Monoid.lcm_data`; a child is built by bytes slicing (`_SplitStates`).
+The id table and the window memo are dropped when the search returns.
+`_split_children` reads the same kernel for a single state;
+`Multifraction` objects and steps are built only at the API boundary.
 
 The two `simulate_*` translations implement the constructive equivalence
 between split reduction and reduction-after-padding: one ordinary
@@ -27,7 +33,8 @@ pair of trivial entries on the ordinary side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from struct import Struct
 
 from .errors import BudgetExhausted
 from .monoid import Monoid, MonoidElement
@@ -37,8 +44,8 @@ from .multifraction import (
     Multifraction,
     ReductionStep,
     SearchResult,
+    _CompactStates,
     _search,
-    _wordlength,
     apply_reduction,
 )
 
@@ -118,41 +125,104 @@ def apply_split_or_trim(a: Multifraction, step) -> Multifraction | None:
     raise TypeError(f"not a split-system step: {step!r}")
 
 
-def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
-    """Every (step, child entries) of a state: trims by i, then splits by (i, y, x).
+_pack1, _pack4 = Struct("I").pack, Struct("4I").pack
 
-    These are the children `apply_trim` and `apply_split` give, from one
-    read of both divisor tables per position and one lcm per divisor pair.
-    The flag is False when a pair was skipped because its lcm ran out of
-    budget.
+
+class _SplitStates(_CompactStates):
+    """Split and trim steps on compact states.
+
+    A trim at i reads a_i, a_{i+1} = 1 and a_{i+2} and writes one merged
+    entry; a split at i reads a_i and a_{i+1} and writes four entries.  So
+    a trim's memo entry, keyed by its 12-byte window, is the merged entry's
+    4-byte id, and a split's, keyed by its 8-byte window, holds its encoded
+    (x, y, replacement) rows, ordered by (y, x), and a flag that is False
+    when an lcm ran out of budget.  The two window lengths cannot collide
+    in the memo of a parity.
     """
-    element, one, children, complete = m.element, m.identity, [], True
-    for i in range(1, len(entries) - 1):
-        if entries[i] is one:
-            a, c = entries[i - 1].key, entries[i + 1].key
-            merged = element(a + c if i % 2 == 1 else c + a)
-            children.append((TrimStep(i), entries[: i - 1] + (merged,) + entries[i + 2 :]))
-    for i in range(1, len(entries)):
-        a_i, a_next = entries[i - 1], entries[i]
-        if a_i is one and a_next is one:
-            continue  # the only divisor pair is (1, 1), which is no step
+
+    __slots__ = ()
+
+    def __init__(self, monoid: Monoid):
+        super().__init__(monoid, DEFAULT_LCM_BUDGET)
+
+    def children(self, state: bytes) -> tuple[list, bool]:
+        """Every (step, child state), trims by i then splits by (i, y, x),
+        and False when a pair was skipped because its lcm ran out of
+        budget.  A step is (i,) for a trim and (i, x, y) for a split."""
+        ids = memoryview(state).cast("I")
+        memos, trims, splits, complete = self._memos, [], [], True
+        # one pass: a trim at i needs a_{i+1} = 1 and i < depth - 1, and a
+        # split at i needs a_i and a_{i+1} not both 1 (the only divisor
+        # pair would be (1, 1), which is no step)
+        last = len(ids) - 1
+        for i in range(1, len(ids)):
+            lo = 4 * i - 4
+            if not ids[i]:
+                if i < last:
+                    window = state[lo:lo + 12]
+                    memo = memos[i & 1]
+                    merged = memo.get(window)
+                    if merged is None:
+                        merged = memo[window] = self._trim(i, ids)
+                    trims.append(((i,), state[:lo] + merged + state[lo + 12:]))
+                if not ids[i - 1]:
+                    continue
+            window = state[lo:lo + 8]
+            memo = memos[i & 1]
+            hit = memo.get(window)
+            if hit is None:
+                hit = memo[window] = self._split(i, ids)
+            rows, settled = hit
+            complete = complete and settled
+            if rows:
+                head, tail = state[:lo], state[lo + 8:]
+                splits += [((i, x, y), head + rep + tail) for x, y, rep in rows]
+        return trims + splits, complete
+
+    def _trim(self, i: int, ids) -> bytes:
+        """The trim at position i of a state, on its window alone."""
+        elems = self.ids.elems
+        a, c = elems[ids[i - 1]].key, elems[ids[i + 1]].key
+        return _pack1(self.ids[self.monoid.element(a + c if i % 2 == 1 else c + a)])
+
+    def _split(self, i: int, ids) -> tuple[list, bool]:
+        """The splits at position i of a state, on their window alone."""
+        m, element, id_of = self.monoid, self.monoid.element, self.ids
+        one, a_i, a_next = m.identity, id_of.elems[ids[i - 1]], id_of.elems[ids[i]]
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
         ys, y_cofactors = m._divisor_table(side, a_i)  # ys[0] is 1
         xs, x_cofactors = m._divisor_table(side, a_next)  # xs[0] is 1
-        head, tail = entries[: i - 1], entries[i + 1 :]
+        rows, settled = [], True
         for y in ys:
             b_i = a_i if y is one else element(y_cofactors[y])
             for x in xs[1:] if y is one else xs:
                 try:
-                    data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN)
+                    data = m.lcm_data(lcm_side, x, y, self.lcm_budget, DEFAULT_LCM_MAX_LEN)
                 except BudgetExhausted:
-                    complete = False
+                    settled = False
                     continue
                 if data is not None:
                     comp_x, comp_y = data
                     b_last = a_next if x is one else element(x_cofactors[x])
-                    children.append((SplitStep(i, x, y), head + (b_i, comp_y, comp_x, b_last) + tail))
-    return children, complete
+                    rows.append((x, y, _pack4(id_of[b_i], id_of[comp_y], id_of[comp_x], id_of[b_last])))
+        return rows, settled
+
+
+def _step(step: tuple):
+    """The TrimStep or SplitStep of a step the kernel recorded."""
+    return TrimStep(*step) if len(step) == 1 else SplitStep(*step)
+
+
+def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
+    """Every (step, child entries) of a state: trims by i, then splits by (i, y, x).
+
+    These are the children `apply_trim` and `apply_split` give, read off
+    the search's kernel, `_SplitStates.children`.  The flag is False when a
+    pair was skipped because its lcm ran out of budget.
+    """
+    states = _SplitStates(m)
+    children, complete = states.children(states.encode(entries))
+    return [(_step(step), states.decode(child)) for step, child in children], complete
 
 
 def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
@@ -175,25 +245,33 @@ def split_reduces_to_trivial(
     far sooner than breadth-first in this heavily branching system; the
     exploration order does not affect what "exhausted" means.  found=True
     is definitive; anything else is undetermined (complete=False whenever a
-    cap did any work).
+    cap did any work).  The search runs on `_SplitStates`, its target is
+    the all-zero state, and a state's word-length is read off the id
+    table's entry lengths.  The engine records (i,) for a trim and
+    (i, x, y) for a split; `TrimStep`s and `SplitStep`s are built only
+    for the returned trace.
     """
     if max_depth is None:
         max_depth = 2 * a.depth + 12
-    m = a.monoid
+    states = _SplitStates(a.monoid)
+    cap = 4 * max_depth  # in bytes: a split adds two entries, a trim drops two
 
-    def successors(entries: tuple) -> tuple[list, bool]:
+    def successors(state: bytes) -> tuple[list, bool]:
         # the kernel settles every lcm even at the cap, so that an lcm
         # budget trip there still outranks the depth cap
-        children, complete = _split_children(m, entries)
-        if len(entries) + 2 > max_depth:  # a split adds two entries, a trim drops two
-            children = [(s, c) if len(c) <= max_depth else (None, "depth cap") for s, c in children]
+        children, complete = states.children(state)
+        if len(state) + 8 > cap:
+            children = [(s, c) if len(c) <= cap else (None, "depth cap") for s, c in children]
         return children, complete
 
-    # the target test compares entries with 1 by identity, so each admitted
-    # state's word-length is computed once, for its priority
-    one = m.identity
-    return _search(a.entries, successors, lambda e: e.count(one) == len(e),
-                   state_budget, lambda e: (_wordlength(e), len(e)))
+    # the target is the all-zero state, of any depth; len(s) = 4 * depth
+    # ranks states as the depth does
+    wordlength = states.wordlength
+    res = _search(states.encode(a.entries), successors, lambda s: s.count(0) == len(s),
+                  state_budget, lambda s: (wordlength(s), len(s)))
+    if res.trace:
+        res = replace(res, trace=tuple(map(_step, res.trace)))
+    return res
 
 
 def simulate_reduction_by_splits(a: Multifraction, step: ReductionStep) -> list:

@@ -101,7 +101,7 @@ class BoundedLcmOracle:
         slot = {e.key: i for i, e in enumerate(self.sweep)}
         self._slots = slot
         max_sweep = max((len(e.key) for e in self.sweep), default=0)
-        rules = monoid.rewrite_rules
+        rules = monoid._rules  # both orientations of every relation, encoded
         atoms = [a.key for a in monoid.atoms()]
         self.keys: list[bytes] = []
         self.masks = [0] * len(self.sweep)

@@ -301,6 +301,18 @@ def test_cli_negative_budgets_are_usage_errors(a2_file, capsys, command, word, f
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["-1", "x"], ids=["negative", "not-an-integer"])
+def test_cli_usage_errors_name_the_flag(a2_file, capsys, value):
+    assert main(["solve", "--presentation", a2_file, "abaBAB", "--state-budget", value]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the usage, then argparse's message naming the flag and the value
+    assert err.startswith("usage: multifrac solve ")
+    message = err.splitlines()[-1]
+    assert message.startswith("multifrac solve: error: argument --state-budget: ")
+    assert value in message
+
+
 def test_cli_builds_its_parser_once(a2_file, monkeypatch, capsys):
     from multifrac import cli
 

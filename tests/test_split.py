@@ -18,7 +18,13 @@ from multifrac import (
     simulate_splits_by_padded_reduction,
     split_reduces_to_trivial,
 )
-from multifrac.split import _split_children, apply_split_or_trim, split_step_candidates
+from multifrac.multifraction import _search
+from multifrac.split import (
+    DEFAULT_SPLIT_STATE_BUDGET,
+    _split_children,
+    apply_split_or_trim,
+    split_step_candidates,
+)
 from multifrac.words import parse_signed
 
 from oracles import (
@@ -104,6 +110,19 @@ def test_trim_examples(a2t):
     assert apply_trim(mf(a2t, "a", ""), TrimStep(1)) is None  # too deep
 
 
+# every signed word up to these lengths, per presentation
+EVERY_WORD_UP_TO = pytest.mark.parametrize(
+    "pres, max_len",
+    [
+        (braid_pair(3), 4),
+        (braid_pair(4), 4),
+        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 3),
+        (all_threes(), 3),
+    ],
+    ids=["I2(3)", "I2(4)", "A3", "A2~"],
+)
+
+
 def _applied_children(a):
     """The oracle: apply_trim at every i, then apply_split at every i with
     every divisor pair (y of a_i, x of a_{i+1}) on the rule's side, dropping
@@ -129,16 +148,7 @@ def _applied_children(a):
     return children, complete
 
 
-@pytest.mark.parametrize(
-    "pres, max_len",
-    [
-        (braid_pair(3), 4),
-        (braid_pair(4), 4),
-        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 3),
-        (all_threes(), 3),
-    ],
-    ids=["I2(3)", "I2(4)", "A3", "A2~"],
-)
+@EVERY_WORD_UP_TO
 def test_split_children_match_apply_split_and_trim(pres, max_len):
     mon = Monoid(pres)
     for w in signed_words_up_to(pres, max_len):
@@ -149,6 +159,58 @@ def test_split_children_match_apply_split_and_trim(pres, max_len):
             assert _split_children(mon, start.entries) == want, (w, p)
             steps, complete = split_step_candidates(start)
             assert (steps, complete) == ([s for s, _ in want[0]], want[1])
+
+
+def _tuple_split_search(a, state_budget, max_depth):
+    """The reference search: the engine on raw entry tuples, through the
+    oracle, with the compact search's priority, target and depth cap."""
+    m = a.monoid
+
+    def successors(entries):
+        children, complete = _applied_children(Multifraction._of(m, entries))
+        return [(s, c) if len(c) <= max_depth else (None, "depth cap") for s, c in children], complete
+
+    return _search(a.entries, successors, lambda e: not any(x.key for x in e), state_budget,
+                   lambda e: (sum(len(x.key) for x in e), len(e)))
+
+
+def _pinned(res):
+    return (res.found, res.complete, res.states, res.steps, res.reason,
+            [step.json_obj() for step in res.trace])
+
+
+@EVERY_WORD_UP_TO
+def test_compact_split_search_matches_tuple_search(pres, max_len):
+    # the kernel test's words at paddings 0-1, under the default depth cap
+    # and under depth + 2.  Most of these words are nontrivial, and their
+    # searches run to the default state budget of 10**5 (minutes per
+    # presentation for the compact search alone), so every case here is
+    # also capped at 100 or 20 states
+    mon = Monoid(pres)
+    reasons = set()
+    for w in signed_words_up_to(pres, max_len):
+        a = Multifraction.from_signed_word(mon, w)
+        for p in (0, 1):
+            start = a.pad(p)
+            default_depth = 2 * start.depth + 12
+            for state_budget, max_depth in ((100, default_depth), (100, start.depth + 2), (20, default_depth)):
+                got = split_reduces_to_trivial(start, state_budget, max_depth)
+                want = _tuple_split_search(start, state_budget, max_depth)
+                assert _pinned(got) == _pinned(want), (w, p, state_budget, max_depth)
+                reasons.add(got.reason)
+    assert {None, "state budget", "depth cap"} <= reasons
+
+
+def test_compact_split_search_matches_tuple_search_on_lcm_budget_trips(a2t):
+    # abc/cba, the start of abcABC: an lcm trips the default budget at once
+    a = Multifraction.from_signed_word(a2t, parse_signed(a2t.presentation, "abcABC"))
+    got = split_reduces_to_trivial(a, max_depth=4)
+    assert got.reason == "lcm budget"
+    assert _pinned(got) == _pinned(_tuple_split_search(a, DEFAULT_SPLIT_STATE_BUDGET, 4))
+    # deeper, where the state budget outranks the tripped lcm budget
+    for max_depth in (8, 2 * a.depth + 12):
+        got = split_reduces_to_trivial(a, 1000, max_depth)
+        assert _pinned(got) == _pinned(_tuple_split_search(a, 1000, max_depth))
 
 
 def test_split_children_skip_unsettled_lcms(a2t):
