@@ -29,7 +29,11 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the congruence-closure kernel in use; there is only the pure-Python one."""
+    """Name of the monoid kernels in use; there is only the pure-Python one.
+
+    The quotient, key and divisor kernels of `multifrac.monoid` are plain
+    Python; no compiled kernel is built or selected.
+    """
     return "python"
 
 

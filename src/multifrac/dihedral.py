@@ -78,6 +78,9 @@ class Dihedral:
             )
         self.s, self.t, self.m = s, t, m
         self._letters = frozenset((pres.index(s), pres.index(t)))
+        self._relation_sides = tuple(
+            pres.encode(side) for rel in pres.relations() for side in (rel.lhs, rel.rhs)
+        )
         # both keyed by the (num, den) elements of the right form
         self._forms_cache: dict[tuple, tuple[FractionPair, FractionPair]] = {}
         self._geo_memo: dict[tuple, tuple[int, SignedWord]] = {}
@@ -140,8 +143,17 @@ class Dihedral:
         for entry in (fp.num, fp.den):
             if m.divide("left", delta, entry) is not None:
                 raise StructuralError(f"fraction entry {entry} is divisible by the Garside element")
-            if len(m.class_of(entry.key)) != 1:
+            if not self._has_unique_word(entry):
                 raise StructuralError(f"fraction entry {entry} has more than one word")
+
+    def _has_unique_word(self, entry: MonoidElement) -> bool:
+        """Whether entry's class is its key alone.
+
+        A class is connected by single relation applications, so it has a
+        second word exactly when some relation side, here an alternating
+        word of length m, occurs in the key.
+        """
+        return not any(side in entry.key for side in self._relation_sides)
 
     def _unique_word(self, fp: FractionPair, which: str) -> bytes:
         if fp.num.is_identity() or fp.den.is_identity():
@@ -149,8 +161,7 @@ class Dihedral:
                 "first/last letters need both fraction entries nontrivial"
             )
         entry = fp.num if which == "num" else fp.den
-        cls = self.monoid.class_of(entry.key)
-        if len(cls) != 1:
+        if not self._has_unique_word(entry):
             raise StructuralError(f"{entry} is not represented by a unique word")
         return entry.key
 

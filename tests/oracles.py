@@ -8,6 +8,9 @@ the package but leans on parts of it:
 
 * `MultipleSets` finds lcms by intersecting bounded multiple sets, whose
   members it canonicalises with `Monoid.canonical`;
+* `WordClasses` enumerates the class of an element with
+  `congruence_class`, the rewriting closure the package no longer calls,
+  under rules built from `presentation.relations()`;
 * `BoundedLcmOracle` finds lcms by bitmasks over every element up to a
   word-length bound, whose classes it takes from `congruence_class`;
 * `naive_special_neighbors` enumerates special transformations by trying
@@ -25,10 +28,46 @@ from functools import lru_cache
 from itertools import product
 
 from multifrac import Monoid, MonoidElement, WordStep
+from multifrac.monoid import congruence_class
 from multifrac.presentation import ArtinPresentation
 from multifrac.reversing import reverse_step
 from multifrac.words import SignedWord, free_reduce, invert, parse_signed, signed_of_positive
 from reference import alternating
+
+
+# -- word classes by rewriting -----------------------------------------------
+
+def rewrite_rules(pres: ArtinPresentation) -> tuple[tuple[bytes, bytes], ...]:
+    """Both orientations of every defining relation, encoded."""
+    rules = []
+    for rel in pres.relations():
+        lhs, rhs = pres.encode(rel.lhs), pres.encode(rel.rhs)
+        rules += [(lhs, rhs), (rhs, lhs)]
+    return tuple(rules)
+
+
+class WordClasses:
+    """Every word of an element's class, enumerated once per element."""
+
+    def __init__(self, monoid: Monoid):
+        self.monoid = monoid
+        self.rules = rewrite_rules(monoid.presentation)
+        self._cache: dict[bytes, frozenset[bytes]] = {}
+
+    def of(self, x) -> frozenset[bytes]:
+        """The class of an element, or of a word given as bytes."""
+        key = x if isinstance(x, bytes) else x.key
+        cls = self._cache.get(key)
+        if cls is None:
+            cls = congruence_class(key, self.rules)
+            for w in cls:
+                self._cache[w] = cls
+        return cls
+
+    def strings(self, x) -> set[str]:
+        """The class, decoded to generator names."""
+        decode = self.monoid.presentation.decode
+        return {"".join(decode(w)) for w in self.of(x)}
 
 
 # -- brute-force lcm via bounded multiple sets ------------------------------
@@ -93,15 +132,13 @@ class BoundedLcmOracle:
     """
 
     def __init__(self, monoid: Monoid, sweep, bound: int):
-        from multifrac.monoid import congruence_class
-
         self.monoid = monoid
         self.bound = bound
         self.sweep = list(sweep)
         slot = {e.key: i for i, e in enumerate(self.sweep)}
         self._slots = slot
         max_sweep = max((len(e.key) for e in self.sweep), default=0)
-        rules = monoid._rules  # both orientations of every relation, encoded
+        rules = rewrite_rules(monoid.presentation)
         atoms = [a.key for a in monoid.atoms()]
         self.keys: list[bytes] = []
         self.masks = [0] * len(self.sweep)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from multifrac import (
 )
 from multifrac.words import parse_signed, signed_str
 
-from oracles import braid_pair, signed_words_up_to
+from oracles import WordClasses, braid_pair, signed_words_up_to
 from reference import DihedralGroup
 
 
@@ -72,6 +73,17 @@ def test_first_last_letters(d3):
     assert d3.first_letter(fpr, "den") != d3.last_letter(fp, "den")
     with pytest.raises(StructuralError):
         d3.first_letter(d3.normal_form("right", "ab"), "num")  # denominator trivial
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_unique_word_iff_no_alternating_factor_of_length_m(m):
+    mon = Monoid(braid_pair(m))
+    d = Dihedral(mon, "a", "b")
+    classes = WordClasses(mon)
+    for length in range(9):
+        for t in product(range(2), repeat=length):
+            x = mon.element(bytes(t))
+            assert d._has_unique_word(x) == (len(classes.of(x)) == 1)
 
 
 def _elements_by_oracle(pres, oracle, max_len):

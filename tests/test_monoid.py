@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from multifrac import monoid as monoid_module
 from multifrac import reversing
 from multifrac.monoid import MonoidElement, congruence_class
 
-from oracles import MultipleSets, all_threes, braid_pair
+from oracles import MultipleSets, WordClasses, all_threes, braid_pair, rewrite_rules
 from reference import PositiveMonoid
 
 A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
@@ -21,13 +22,8 @@ def a2():
     return Monoid(braid_pair(3))
 
 
-def class_strings(e: MonoidElement) -> set[str]:
-    """Every word of e's class, decoded to generator names."""
-    decode = e.monoid.presentation.decode
-    return {"".join(decode(w)) for w in e.cls}
-
-
 def test_element_classes(a2):
+    class_strings = WordClasses(a2).strings
     e = a2.element("aba")
     assert class_strings(e) == {"aba", "bab"}
     assert str(e) == "aba"
@@ -39,6 +35,7 @@ def test_element_classes(a2):
 
 
 def test_class_matches_string_oracle(a2):
+    class_strings = WordClasses(a2).strings
     strings = PositiveMonoid("ab", [("a", "b", 3)], class_cap=1000)
     rng = random.Random(3)
     for _ in range(50):
@@ -49,15 +46,12 @@ def test_class_matches_string_oracle(a2):
 def test_pure_kernel_matches_string_oracle():
     assert kernel_backend() == "python"
     pres = all_threes()
-    rules = []
-    for rel in pres.relations():
-        l, r = pres.encode(rel.lhs), pres.encode(rel.rhs)
-        rules += [(l, r), (r, l)]
+    rules = rewrite_rules(pres)
     strings = PositiveMonoid(pres.generators, pres.labelled_pairs(), class_cap=1000)
     rng = random.Random(61)
     for _ in range(60):
         w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 7)))
-        got = {pres.word_str(k) if k else "" for k in congruence_class(pres.encode(w), tuple(rules))}
+        got = {pres.word_str(k) if k else "" for k in congruence_class(pres.encode(w), rules)}
         assert got == strings.word_class(w)
 
 
@@ -70,11 +64,12 @@ def test_multiply(a2):
 
 
 def test_homogeneity(a2):
+    classes = WordClasses(a2)
     rng = random.Random(4)
     for _ in range(50):
         w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 8)))
         e = a2.element(w)
-        assert all(len(v) == len(w) for v in e.cls)
+        assert all(len(v) == len(w) for v in classes.of(e))
         assert len(e) == len(w)
 
 
@@ -125,6 +120,7 @@ def test_divisibility_rejects_unknown_side(a2):
 )
 def test_divide_and_divisors_match_naive_scan(pres, max_len):
     m = Monoid(pres)
+    classes = WordClasses(m)
     cls = PositiveMonoid(pres.generators, pres.labelled_pairs(), class_cap=1000).word_class
 
     words = [""]
@@ -132,7 +128,7 @@ def test_divide_and_divisors_match_naive_scan(pres, max_len):
         words += [w + g for w in words if len(w) == len(words[-1]) for g in pres.generators]
     els = sorted({m.element(w) for w in words})
     for y in els:
-        for w in m.class_of(y.key):
+        for w in classes.of(y):
             assert m.element(w) is m.element(m.canonical(w)) is y
         members = cls("".join(y.word))
         for side in ("left", "right"):
@@ -150,7 +146,7 @@ def test_divide_and_divisors_match_naive_scan(pres, max_len):
                     assert got is None
                 else:
                     assert all(cls(r) == cls(rests[0]) for r in rests)
-                    assert class_strings(got) == cls(rests[0])
+                    assert classes.strings(got) == cls(rests[0])
 
 
 def test_divisors(a2):
@@ -261,16 +257,20 @@ def test_lcm_answer_is_keyed_by_budget_and_length_cap():
         assert str(on_settled.value) == str(on_fresh.value)
 
 
-def test_lcm_data_builds_no_class_of_the_lcm():
+def test_lcm_data_builds_no_class_of_the_lcm(monkeypatch):
+    # the common multiple is checked by reversing: lcm_data meets neither
+    # product as a word, so it computes no key or element for the lcm
     for side in ("right", "left"):
         mon = Monoid(A3)
         x, y = mon.element("ab"), mon.element("bc")
-        c_x, c_y = mon.lcm_data(side, x, y)
+        with monkeypatch.context() as patch:
+            patch.setattr(monoid_module, "congruence_class", _no_closure)
+            c_x, c_y = mon.lcm_data(side, x, y)
         if side == "right":
             products = (x.key + c_x.key, y.key + c_y.key)
         else:
             products = (c_x.key + x.key, c_y.key + y.key)
-        assert not any(w in mon._elements for w in products)
+        assert not any(w in mon._keys for w in products)
         assert mon.element(products[0]) is mon.element(products[1])
 
 
@@ -331,13 +331,14 @@ def test_cross_monoid_elements_rejected(a2):
 @pytest.mark.parametrize("pres", [braid_pair(3), A3, all_threes()], ids=["I2(3)", "A3", "A2~"])
 def test_operations_return_interned_elements(pres):
     m = Monoid(pres)
+    classes = WordClasses(m)
     checked = set()
 
     def interned(z):
         assert z is m.element(z.key)
         if z not in checked:
             checked.add(z)
-            for w in z.cls:
+            for w in classes.of(z):
                 assert m.element(w) is z
 
     gens = pres.generators
@@ -399,3 +400,98 @@ def test_threads_sharing_a_monoid_intern_one_element_per_class():
     for w in words:
         el = m.element(w)
         assert all(s[w] is el for s in seen)
+
+
+# -- the quotient, key and divisor kernels against the rewriting closure -----
+
+ONE_FREE_PAIR = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 4})  # (a, c) free
+
+
+def _no_closure(*args):
+    raise AssertionError("the package enumerated a word class")
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [
+        (braid_pair(3), 8),
+        (braid_pair(4), 8),
+        (A3, 6),
+        (all_threes(), 6),
+        (ONE_FREE_PAIR, 6),
+    ],
+    ids=["I2(3)", "I2(4)", "A3", "A2~", "one-free-pair"],
+)
+def test_kernels_match_the_closure(pres, max_len):
+    m = Monoid(pres)
+    classes = WordClasses(m)
+    n = len(pres.generators)
+    key = {}  # every word up to max_len -> min of its class
+    for length in range(max_len + 1):
+        for t in product(range(n), repeat=length):
+            w = bytes(t)
+            key[w] = min(classes.of(w))
+            assert m.element(w).key == key[w]
+            for s in range(n):
+                tails = [v[1:] for v in classes.of(w) if v and v[0] == s]
+                q = m._quotient(s, w)
+                assert (q is None) == (not tails)
+                if tails:
+                    assert classes.of(q) == classes.of(tails[0])
+    els = sorted({m.element(k) for k in key.values()})
+    # prefix (suffix) read-off: {divisor key: cofactor key} for each side
+    readoff = {}
+    for y in els:
+        for side in ("left", "right"):
+            table = {}
+            for w in classes.of(y):
+                for k in range(len(w) + 1):
+                    d, c = (w[:k], w[k:]) if side == "left" else (w[len(w) - k:], w[:len(w) - k])
+                    table[min(classes.of(d))] = min(classes.of(c))
+            readoff[side, y] = table
+            assert [d.key for d in m.divisors(side, y)] == sorted(table, key=lambda k: (len(k), k))
+    small = [x for x in els if len(x) <= max_len // 2]
+    for y in els:
+        for side in ("left", "right"):
+            table = readoff[side, y]
+            for x in small:
+                got = m.divide(side, x, y)
+                assert (None if got is None else got.key) == table.get(x.key)
+                common = readoff[side, x].keys() & table.keys()
+                longest = max(len(k) for k in common)
+                [want] = [k for k in common if len(k) == longest]
+                assert m.gcd(side, x, y).key == want
+
+
+def test_no_operation_enumerates_a_class(monkeypatch):
+    monkeypatch.setattr(monoid_module, "congruence_class", _no_closure)
+    from multifrac import Dihedral, PaddingStrategy, decide
+
+    mon = Monoid(all_threes())
+    assert decide(mon, "bcbCBC", PaddingStrategy.quadratic()).answer == "trivial"
+    assert decide(mon, "aB", PaddingStrategy.quadratic()).answer == "nontrivial"
+    m3 = Monoid(A3)
+    delta = m3.element("abacba")
+    assert len(m3.divisors("left", delta)) == len(m3.divisors("right", delta)) == 24
+    assert m3.gcd("left", m3.element("abc"), m3.element("acb")) == m3.element("a")
+    assert m3.lcm("right", m3.element("a"), m3.element("b")) == m3.element("bab")
+    assert m3.lcm("left", m3.element("ab"), m3.element("cb")) == m3.element("acb")
+    d = Dihedral(Monoid(braid_pair(3)), "a", "b")
+    fp = d.normal_form("left", "aB")
+    assert str(fp) == "(ab)^-1(ba)"
+    assert d.first_letter(fp, "num") == "a" and d.last_letter(fp, "num") == "b"
+
+
+def test_a4_delta_squared_and_its_divisor_tables():
+    a4 = ArtinPresentation("abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3,
+                                     ("a", "c"): 2, ("a", "d"): 2, ("b", "d"): 2})
+    t0 = time.monotonic()
+    m = Monoid(a4)
+    delta = m.element("abacbadcba")
+    square = m.element("abacbadcba" * 2)
+    assert square is m.multiply(delta, delta)
+    left, right = m.divisors("left", square), m.divisors("right", square)
+    assert time.monotonic() - t0 < 10.0
+    # Delta^2 in B5+: 3651 divisors on each side, Delta among them
+    assert len(left) == len(right) == 3651
+    assert delta in left and delta in right
