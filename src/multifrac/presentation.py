@@ -68,8 +68,9 @@ class ArtinPresentation:
                 )
             table[key] = m
         self._labels = table
-        # built once: the reversing and transform tables hash presentations per call
+        # built and hashed once: the reversing and transform tables hash presentations per call
         self._identity = (gens, tuple(sorted(table.items())))
+        self._hash = hash(self._identity)
 
     def _pair_key(self, s: str, t: str) -> tuple[int, int]:
         i, j = self._index[s], self._index[t]
@@ -159,7 +160,7 @@ class ArtinPresentation:
         return isinstance(other, ArtinPresentation) and self._identity == other._identity
 
     def __hash__(self):
-        return hash(self._identity)
+        return self._hash
 
 
 def parse_presentation(text: str) -> ArtinPresentation:

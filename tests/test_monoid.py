@@ -10,11 +10,13 @@ from multifrac import ArtinPresentation, BudgetExhausted, Monoid, StructuralErro
 from multifrac import monoid as monoid_module
 from multifrac import reversing
 from multifrac.monoid import MonoidElement, congruence_class
+from multifrac.words import signed_of_positive
 
 from oracles import MultipleSets, WordClasses, all_threes, braid_pair, rewrite_rules
 from reference import PositiveMonoid
 
 A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
+ONE_FREE_PAIR = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 4})  # (a, c) free
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +260,8 @@ def test_lcm_answer_is_keyed_by_budget_and_length_cap():
 
 
 def test_lcm_data_builds_no_class_of_the_lcm(monkeypatch):
-    # the common multiple is checked by reversing: lcm_data meets neither
-    # product as a word, so it computes no key or element for the lcm
+    # the common multiple is checked by the keys of the two products, which
+    # come from atom quotients: lcm_data enumerates no word class
     for side in ("right", "left"):
         mon = Monoid(A3)
         x, y = mon.element("ab"), mon.element("bc")
@@ -270,40 +272,140 @@ def test_lcm_data_builds_no_class_of_the_lcm(monkeypatch):
             products = (x.key + c_x.key, y.key + c_y.key)
         else:
             products = (c_x.key + x.key, c_y.key + y.key)
-        assert not any(w in mon._keys for w in products)
         assert mon.element(products[0]) is mon.element(products[1])
 
 
 def test_lcm_check_catches_a_table_that_breaks_a_relation():
-    # a^-1 a -> b b^-1 in place of deletion: reversing a^-1 b still ends
-    # positive-negative, but (a c_a)^-1 (b c_b) no longer reverses to the empty
-    # word.  (A relation entry corrupted after the build is not caught here:
-    # both runs read the same entry; the build-time table check catches it.)
-    table = reversing._tables(A3, "right")
-    entry = (-1, 1)
-    saved = table[entry]
-    try:
-        table[entry] = (2, -2)
-        mon = Monoid(A3)
-        with pytest.raises(StructuralError):
-            mon.lcm_data("right", mon.element("a"), mon.element("b"))
-    finally:
-        table[entry] = saved
-        reversing._tables.cache_clear()
+    # the complement kernel reads u = ab of the A3 relation a.ba = b.ab as the
+    # complement of b; with u corrupted to aa, a.ba and b.aa are different
+    # elements, so their keys differ
+    mon = Monoid(A3)
+    a, b = mon.element("a"), mon.element("b")
+    mon._heads[1][0] = b"\0\0"
+    with pytest.raises(StructuralError):
+        mon.lcm_data("right", a, b)
 
 
-def test_lcm_check_trips_its_own_budget_and_caches_it(monkeypatch):
+def test_lcm_check_needs_no_budget_of_its_own(monkeypatch):
+    # the check runs no reversing, so a one-step default budget does not
+    # stop an lcm that the caller's budget settles, on either path: the
+    # kernel, and reverse_full when the cap leaves the kernel no allowance
+    monkeypatch.setattr(monoid_module, "DEFAULT_STEP_BUDGET", 1)
     mon = Monoid(A3)
     x, y = mon.element("a"), mon.element("b")
-    monkeypatch.setattr(monoid_module, "DEFAULT_STEP_BUDGET", 1)
+    assert mon.lcm_data("right", x, y, budget=100) == (mon.element("ba"), mon.element("ab"))
+    x, y = mon.element("ab"), mon.element("cb")
+    assert mon.lcm("left", x, y) == mon.element("acb")
+    assert mon.lcm_data("left", x, y, budget=100, max_len=4) == (mon.element("c"), mon.element("a"))
+
+
+def _leftmost_lcm(mon, side, x, y, budget, max_len):
+    """What the leftmost reversing run says about the lcm: its split terminal, or "trip"."""
+    sign = -1 if side == "right" else 1
+    word = signed_of_positive(x.key, sign) + signed_of_positive(y.key, -sign)
+    try:
+        terminal = reversing.reverse_full(mon.presentation, side, word, budget, max_len).word
+    except BudgetExhausted:
+        return "trip"
+    split = reversing.split_terminal(side, terminal)
+    return None if split is None else tuple(mon.element(c) for c in split)
+
+
+def _lcm_outcome(mon, side, x, y, budget, max_len):
+    try:
+        return mon.lcm_data(side, x, y, budget, max_len)
+    except BudgetExhausted:
+        return "trip"
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The number of reverse_full runs lcm_data has started, as a one-item list."""
+    count = [0]
+    run = monoid_module.reverse_full
+
+    def counted(*args):
+        count[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(monoid_module, "reverse_full", counted)
+    return count
+
+
+def _check_lcm(mon, fallbacks, side, x, y, budget, cap, want):
+    """lcm_data gives `want`; with no cap, a settled lcm needs no reverse_full run."""
+    before = fallbacks[0]
+    got = _lcm_outcome(mon, side, x, y, budget, cap)
+    assert got == want, (side, str(x), str(y), budget, cap)
+    if cap is None and isinstance(got, tuple):
+        assert fallbacks[0] == before, (side, str(x), str(y), budget)
+
+
+# (budget, cap): the searches pass (1000, 512) and `lcm` (10000, None); the
+# last three leave the cap so little room that it decides
+LCM_LIMITS = [(1000, 512), (10000, None), (40, None), (200, 64), (7, 20), (1000, 30),
+              (1000, 3), (1000, 5), (30, 8)]
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [(braid_pair(2), 4), (braid_pair(3), 4), (braid_pair(4), 4), (A3, 3), (all_threes(), 2),
+     (ONE_FREE_PAIR, 3)],
+    ids=["I2(2)", "I2(3)", "I2(4)", "A3", "A2~", "one-free-pair"],
+)
+def test_lcm_data_matches_the_leftmost_reversing_run(pres, max_len, fallbacks):
+    # every pair of elements up to max_len letters, both sides and every
+    # (budget, cap) pair on one shared Monoid: lcm_data trips exactly where
+    # the leftmost run trips, and otherwise gives its split terminal
+    mon = Monoid(pres)
+    n = len(pres.generators)
+    els = sorted({mon.element(bytes(t)) for k in range(max_len + 1) for t in product(range(n), repeat=k)})
+    for budget, cap in LCM_LIMITS:
+        for side in ("right", "left"):
+            for x in els:
+                for y in els:
+                    want = _leftmost_lcm(mon, side, x, y, budget, cap)
+                    _check_lcm(mon, fallbacks, side, x, y, budget, cap, want)
+
+
+def test_lcm_answers_do_not_depend_on_the_complement_memo(fallbacks):
+    # one shared Monoid, a shuffled call sequence that mixes budgets, trips and
+    # aborts settled by a stored lower bound: each answer is the one a fresh
+    # Monoid gives for the same call.  Budgets 0-11 put a call that just
+    # suffices after calls that just did not, so a lower bound stored one step
+    # too high would send a settled lcm to reverse_full
+    pres = all_threes()
+    shared = Monoid(pres)
+    words = ["a", "c", "ab", "ca", "abc", "aab", "bba", "aabb", "bbaa"]
+    limits = [(budget, None) for budget in range(12)] + [(40, None), (200, 64), (7, 20), (1000, 30)]
+    calls = [(side, x, y, *limit) for side in ("right", "left") for x in words for y in words for limit in limits]
+    random.Random(15).shuffle(calls)
+    outcomes = set()
+    bounds = set()  # every lower bound the memo held at some point
+    for side, x, y, budget, cap in calls:
+        fresh = Monoid(pres)
+        want = _lcm_outcome(fresh, side, fresh.element(x), fresh.element(y), budget, cap)
+        if isinstance(want, tuple):
+            want = tuple(shared.element(c.key) for c in want)
+        _check_lcm(shared, fallbacks, side, shared.element(x), shared.element(y), budget, cap, want)
+        outcomes.add("trip" if want == "trip" else "settled")
+        for s, memo in enumerate(shared._complements):
+            bounds.update((s, w, hit) for w, hit in memo.items() if hit.__class__ is not tuple)
+    assert outcomes == {"trip", "settled"}
+    # each memo entry is a fact about its key: a finished run is the one a
+    # fresh Monoid finds, an aborted one needs more steps than its bound
+    for s, memo in enumerate(shared._complements):
+        for w, hit in memo.items():
+            if hit.__class__ is tuple:
+                assert Monoid(pres)._complement(s, w, hit[2]) == hit
+    assert any(hit < float("inf") for _, _, hit in bounds)
+    for s, w, hit in bounds:
+        assert Monoid(pres)._complement(s, w, hit) is None, (s, w, hit)
+    # reversing (ab)^-1 c never ends; the kernel's explicit stack keeps a
+    # 10 000-step allowance from reaching the recursion limit
+    mon = Monoid(pres)
     with pytest.raises(BudgetExhausted):
-        mon.lcm_data("right", x, y, budget=100)  # reversing a^-1 b takes one step
-    assert isinstance(mon._lcm_cache[("right", x, y, 100, None)], str)
-    monkeypatch.undo()
-    with pytest.raises(BudgetExhausted):
-        mon.lcm_data("right", x, y, budget=100)
-    fresh = Monoid(A3)
-    assert fresh.lcm_data("right", fresh.element("a"), fresh.element("b"), budget=100) is not None
+        mon.lcm_data("right", mon.element("ab"), mon.element("c"), 10_000)
 
 
 def test_lcm_agrees_with_brute_force_on_existing(a2):
@@ -403,9 +505,6 @@ def test_threads_sharing_a_monoid_intern_one_element_per_class():
 
 
 # -- the quotient, key and divisor kernels against the rewriting closure -----
-
-ONE_FREE_PAIR = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 4})  # (a, c) free
-
 
 def _no_closure(*args):
     raise AssertionError("the package enumerated a word class")
