@@ -31,54 +31,67 @@ word c with d.c = x (c.d = x), found by a search from (1, x) that extends d
 by every atom dividing c.  The cofactor is unique up to the congruence by
 cancellativity.
 
-`lcm_data` returns the two complements of an lcm, computed by subword
-reversing with budgets (see `reversing`); a budget hit surfaces as
-BudgetExhausted, never as "no lcm".  Its kernel is the atom complement:
-right reversing of s^-1 w, for an atom s and a positive word w, to
-w' s'^-1 with s.w' = w.s'.  With t the first letter of w = t.w':
+`lcm_data` returns the two complements of an lcm exactly as the leftmost
+`reverse_full` run of x^-1 y (right) or x y^-1 (left) decides them: its
+split terminal, None when it blocks on a free pair, or BudgetExhausted
+when it passes the step budget or the length cap, never "no lcm".  The
+kernel `_complement` takes that run's steps in its order on bytes:
 
-* s = t takes one step to (w', 1);
-* a free pair blocks, as s and t have no common multiple;
-* otherwise s^-1 t reverses to v u^-1, with s.v = t.u the relation of s
-  and t (v = (t s t ...), u = (s t s ...), both of length m-1), and u's
-  letters are folded over w' in turn, giving (v.w'', u'').
+* The leftmost run of x^-1 y reverses x^-1 y1 completely, then the x-side
+  of that result against y2, and so on: it folds y's letters through x,
+  one sub-run c^-1 t per letter t.  With c = c1.c':
+  - t = c1 is one deletion, leaving c'^-1;
+  - a free pair blocks: c^-1 t stays in place for good, and the letters
+    after it pass through;
+  - otherwise c1^-1 t reverses to u v^-1, with c1.u = t.v the relation of
+    c1 and t (u = (t c1 t ...), v = (c1 t c1 ...), both of length m-1),
+    and u's letters are folded through c' in turn, giving s'.(v.c'')^-1.
+  Sub-runs keep that order inside, so every cell comes when the leftmost
+  run takes it.  The left run of x y^-1 is the mirror of the right run of
+  rev(x)^-1 rev(y), step for step.
+* The cap trips on the longest word after any step.  A sub-run's frame
+  knows the letters that stay put around it (its finished pieces s', its
+  letters still to fold, and v), so the sub-run gets the room the cap
+  leaves it and aborts when it passes its room or its share of the budget.
+* A blocked sub-run still ends in a negative run, which the fold goes on
+  with as the leftmost run does; its result is flagged, and the flag makes
+  the lcm None.
 
-An lcm folds x's letters over y the same way (the left side on mirrored
-words).  Some runs never end (with all three labels 3, ab and c have no
-common multiple), so every run carries an allowance of steps, set so that
-neither the budget nor the length cap of the leftmost `reverse_full` run
-can trip within it; a run that passes it, or meets a free pair, hands the
-lcm to `reverse_full`.  Complements are memoised per Monoid by (s, w), an
-aborted run as a lower bound on its steps.  That the complements close a
-common multiple is checked by comparing the keys of the two products, and
-`lcm` interns the product through that key.  The lcm cache is keyed by
-every argument of `lcm_data` (side, both elements, step budget and length
-cap), so no answer depends on what the Monoid settled before.
+Some runs never end (with all three labels 3, ab and c have no common
+multiple); the budget stops them.  Sub-runs are memoised per Monoid by
+(t, c): a finished one by its result, an aborted one by (k, p), the fact
+that it trips under budget k and cap p, which each frame lifts by its own
+steps and offset.  That the complements close a common multiple is checked
+by comparing the keys of the two products, and `lcm` interns the product
+through that key.  The lcm cache is keyed by every argument of `lcm_data`
+(side, both elements, step budget and length cap), so no answer depends on
+what the Monoid settled before.
 
 `congruence_class` enumerates a class by rewriting.  The package never
 calls it; it stays as the tests' oracle for the kernels above.
 
 Elements are immutable and operations are pure.  Creating an element
 holds a per-monoid lock, so threads sharing a Monoid still get one element
-per class; the memos and caches only ever gain values that are functions
-of their key, or (for an aborted complement) a larger lower bound, so
-concurrent readers racing an insert at worst recompute.
+per class; every value the memos and caches hold is a function of its key,
+or (for an aborted complement) a true fact about its run that a later one
+may replace, so concurrent readers racing an insert at worst recompute.
 """
 
 from __future__ import annotations
 
 import threading
+from math import inf
 
 from .errors import BudgetExhausted, StructuralError
 from .presentation import ArtinPresentation
-from .reversing import DEFAULT_STEP_BUDGET, reverse_full, split_terminal
-from .words import SignedWord, signed_of_positive
+from .reversing import DEFAULT_STEP_BUDGET
+# not called here: kept as monoid.reverse_full, the name perfbench/tracer.py wraps
+from .reversing import reverse_full  # noqa: F401
 
 __all__ = ["Monoid", "MonoidElement"]
 
 _ATOMS = tuple(bytes([i]) for i in range(256))
 _MISS = object()
-_NEVER = float("inf")  # a complement that meets a free pair needs more than any number of steps
 
 
 def congruence_class(word: bytes, rules: tuple[tuple[bytes, bytes], ...]) -> frozenset:
@@ -163,11 +176,10 @@ class Monoid:
         self._build_lock = threading.Lock()
         # (side, x) -> (sorted divisors of x, {divisor: cofactor word})
         self._divisors: dict[tuple[str, MonoidElement], tuple[tuple, dict]] = {}
-        # _complements[s] = {word w: (w', s', steps) reversing s^-1 w to w' s'^-1, or the
-        # number k of steps the run is known to need more than (_NEVER: it meets a free pair)}
-        self._complements: list[dict[bytes, tuple | int | float]] = [{} for _ in range(n)]
-        # letters one reversing step adds at most: 2m - 4 for the largest label m
-        self._growth = max((2 * m - 4 for _, _, m in presentation.labelled_pairs()), default=0)
+        # _complements[t] = {word c: the leftmost right reversing run of c^-1 t, as
+        # `_complement` returns it: (c', t', steps, longest, blocked), or (k, p) when the run
+        # trips under budget k and length cap p}
+        self._complements: list[dict[bytes, tuple]] = [{} for _ in range(n)]
         # (side, x, y, budget, max_len) -> lcm_data's answer, or a budget trip's message
         self._lcm_cache: dict[tuple, tuple | None | str] = {}
         self.identity = self.element(b"")
@@ -359,81 +371,87 @@ class Monoid:
 
     # -- lcms and complements via reversing -------------------------------
 
-    def _complement(self, s: int, w: bytes, allowance: int):
-        """Right reversing of s^-1 w: (w', s', steps) with s.w' = w.s', or None.
+    def _complement(self, w: bytes, y: bytes, left: int, room: float) -> tuple:
+        """The leftmost right reversing run of w^-1 y, for positive words w and y.
 
-        None when the run needs more than `allowance` steps or meets a free
-        pair.  With t the first letter of w = t.w': s = t takes one step to
-        (w', 1); otherwise s^-1 t reverses to v u^-1, where s.v = t.u is the
-        relation of s and t, and u's letters are folded over w' (see
-        `_fold`), so the result is (v.w'', u'', 1 + the fold's steps).
-        Memoised per Monoid by (s, w): a finished run by its result, an
-        aborted one by the number of steps it is known to need more than, so
-        later calls with no larger allowance abort at once.  Runs on an
-        explicit stack; on a presentation where a run never ends, only the
-        allowance stops it.
+        Returns (w', s', steps, longest, blocked): the run ends in s' w'^-1
+        after `steps` steps, and `longest` is the longest word after any
+        step (0 with no step).  Unless blocked, w.s' = y.w'.  A blocked run
+        met a free pair and ends in P w'^-1 with P not positive; s' is P
+        with its signs dropped.  Returns (k, p) instead when the run needs
+        more than `left` steps or a word longer than `room`: the fact that
+        it trips under budget k and cap p, with k >= left and p >= room.
+
+        Folds y's letters through w in the leftmost run's cell order (see
+        the module docstring).  A frame stands for one sub-run c^-1 t whose
+        first cell gave u v^-1; it folds u's letters through c[1:].  Each
+        sub-run gets what its frame has left of `left`, and `room` less the
+        frame's offset: its finished pieces s', its letters still to fold
+        and v.  Memoised per Monoid by (t, c): a finished sub-run by its
+        result, an aborted one by its (k, p), which each frame lifts by its
+        steps and offset before it stores its own.  Runs on an explicit
+        stack; on a presentation where a run never ends, `left` stops it.
         """
+        if not y:
+            return w, b"", 0, 0, False
         memo, heads = self._complements, self._heads
-        # [atom, word, allowance, v, u, letters of u folded, c, u'', steps], waiting on a sub-call
-        frames: list[list] = []
-        a, word, left = s, w, allowance
+        # the frame being folded: its memo key (atom, word; none for the top frame), its
+        # letters to fold and their number, how many are folded, v, c, s', steps, longest,
+        # blocked, left, room, and the offset: the letters that stay put around its sub-run
+        fa = fw = None
+        letters, n, taken, v, c, acc, steps, longest, blocked = y, len(y), 0, b"", w, b"", 0, 0, False
+        fleft, froom, off = left, room, len(y) - 1
+        frames = []  # the frames waiting on a sub-run, as tuples of the fields above
+        r = None  # what the last sub-run gave, not yet handed to the frame
         while True:
-            hit = memo[a].get(word)
-            if hit.__class__ is tuple:
-                res = hit
-                if hit[2] > left:
-                    res, bound = None, hit[2] - 1
-            elif hit is not None and left <= hit:
-                res, bound = None, hit
-            elif not word:
-                res = (b"", _ATOMS[a], 0)
-            elif word[0] != a and heads[a][word[0]] is None:
-                res, bound = None, _NEVER
-                memo[a][word] = _NEVER
-            elif left < 1:
-                res, bound = None, 0
-            elif word[0] == a:
-                res = (word[1:], b"", 1)
-            else:
-                t = word[0]
-                u = heads[t][a]
-                frames.append([a, word, left, heads[a][t], u, 1, word[1:], b"", 1])
-                a, word, left = u[0], word[1:], left - 1
-                continue
-            # hand res to the waiting frames: the next letter of u, or done
-            while frames:
-                frame = frames[-1]
-                fa, fword, fleft, v, u, taken, c, acc, steps = frame
-                if res is None:
-                    bound += steps  # the steps taken so far, then more than `bound`
-                    memo[fa][fword] = bound
-                    frames.pop()
+            if r is None:  # the sub-run c^-1 t for the frame's next letter t
+                a = letters[taken]
+                r = memo[a].get(c)
+                if r is None or len(r) == 2 and (fleft - steps > r[0] or froom - off > r[1]):
+                    t = c[0] if c else a
+                    u = heads[t][a]
+                    # a sub-run with no step has no length to record: its longest is -inf
+                    if not c:
+                        r = (b"", letters[taken:], 0, -inf, False)  # the letters left pass through
+                        taken = n - 1
+                    elif t == a:
+                        r = (c[1:], b"", 1, len(c) - 1, False)  # a deletion
+                    elif u is None:
+                        r = (b"", c[::-1] + _ATOMS[a], 0, -inf, True)  # a free pair: blocked in place
+                    elif steps >= fleft:
+                        r = (0, inf)
+                    elif len(c) - 1 + 2 * len(u) > froom - off:
+                        r = (inf, len(c) - 2 + 2 * len(u))
+                    else:  # c[0]^-1 t -> u v^-1: fold u's letters through c[1:]
+                        frames.append((fa, fw, letters, n, taken, v, c, acc, steps, longest, blocked,
+                                       fleft, froom, off))
+                        fa, fw, letters, n, taken, v, c, acc, steps, longest, blocked, fleft, froom, off = (
+                            a, c, u, len(u), 0, heads[a][t], c[1:], b"", 1, len(c) - 1 + 2 * len(u),
+                            False, fleft - steps, froom - off, 2 * len(u) - 1)
+                        r = None
+                        continue
+            if len(r) == 5:
+                c, s, k, top, b = r
+                if k and (k > fleft - steps or top > froom - off):  # past the frame's limits
+                    r = (k - 1, inf) if k > fleft - steps else (inf, top - 1)
+            if len(r) == 5:
+                acc += s
+                steps += k
+                taken += 1
+                blocked = blocked or b
+                if off + top > longest:
+                    longest = off + top
+                if taken < n:
+                    off += len(s) - 1
+                    r = None
                     continue
-                c, acc, steps = res[0], acc + res[1], steps + res[2]
-                if taken < len(u):
-                    frame[5:] = taken + 1, c, acc, steps
-                    a, word, left = u[taken], c, fleft - steps
-                    break
-                res = memo[fa][fword] = (v + c, acc, steps)
-                frames.pop()
+                r = (v + c, acc, steps, longest, blocked)
             else:
-                return res
-
-    def _fold(self, x: bytes, y: bytes, allowance: int) -> tuple[bytes, bytes] | None:
-        """Right reversing of x^-1 y: (c_x, c_y) with x.c_x = y.c_y, or None.
-
-        Folds x's letters over y: c <- y, and for each letter s of x,
-        (c, s', k) <- _complement(s, c) with c_y += s'.  None when the
-        steps pass `allowance` or a free pair is met.
-        """
-        complement = self._complement
-        c, acc, left = y, b"", allowance
-        for s in x:
-            res = complement(s, c, left)
-            if res is None:
-                return None
-            c, acc, left = res[0], acc + res[1], left - res[2]
-        return c, acc
+                r = (steps + r[0], off + r[1])  # the sub-run trips, so the frame trips too
+            if not frames:
+                return r
+            memo[fa][fw] = r
+            fa, fw, letters, n, taken, v, c, acc, steps, longest, blocked, fleft, froom, off = frames.pop()
 
     def lcm(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
         """Right-lcm x v y (side="right") or left-lcm (side="left").
@@ -462,15 +480,11 @@ class Monoid:
 
         The answer is that of the leftmost `reverse_full` run of x^-1 y
         (right) or x y^-1 (left) with this budget and length cap: its
-        terminal split by `split_terminal`, or its BudgetExhausted.  It is
-        computed by `_fold`, the left side on mirrored words.  The reversing
-        diagram of a complemented presentation is unique, so the fold takes
-        exactly the run's steps; each step adds at most 2m - 4 letters for
-        the largest label m, so within the allowance
-        min(budget, (max_len - |x| - |y|) // (2m - 4)) neither of the run's
-        limits can trip (with no cap, or no label above 2 and x, y within
-        the cap, the allowance is the budget).  When the fold passes that
-        allowance or meets a free pair, `reverse_full` itself decides.
+        terminal split by `split_terminal`, None when it blocks on a free
+        pair, or a BudgetExhausted "{side}-lcm of {x} and {y} undetermined
+        within budget" with steps=budget when it passes either limit.
+        `_complement` takes that run's steps on bytes, the left side on
+        mirrored words; no run on signed words is started.
 
         The common multiple is then checked by keys, computed from atom
         quotients, which share no code with reversing: unless
@@ -491,33 +505,18 @@ class Monoid:
             if isinstance(hit, str):
                 raise BudgetExhausted(hit, steps=budget)
             return hit
-        allowance = budget
-        if max_len is not None:
-            room = max_len - len(x.key) - len(y.key)
-            if self._growth:
-                allowance = min(budget, room // self._growth)
-            elif room < 0:
-                allowance = -1  # a step that keeps the word over the cap trips it
         right = side == "right"
-        if right:
-            folded = self._fold(x.key, y.key, allowance)
-        else:
-            folded = self._fold(x.key[::-1], y.key[::-1], allowance)
-        if folded is not None:
-            split = folded if right else (folded[0][::-1], folded[1][::-1])
-        else:
-            # right reverses x^-1 y to c_x c_y^-1, left reverses x y^-1 to c_x^-1 c_y
-            sign = -1 if right else 1
-            word: SignedWord = signed_of_positive(x.key, sign) + signed_of_positive(y.key, -sign)
-            try:
-                terminal = reverse_full(self.presentation, side, word, budget, max_len).word
-            except BudgetExhausted:
-                self._lcm_cache[key] = f"{side}-lcm of {x} and {y} undetermined within budget"
-                raise
-            split = split_terminal(side, terminal)
+        # the left run of x y^-1 is the mirror of the right run of rev(x)^-1 rev(y), step for step
+        run = self._complement(x.key if right else x.key[::-1], y.key if right else y.key[::-1],
+                               budget, inf if max_len is None else max_len)
+        if len(run) == 2:
+            message = self._lcm_cache[key] = f"{side}-lcm of {x} and {y} undetermined within budget"
+            raise BudgetExhausted(message, steps=budget)
+        c_y, c_x, _, _, blocked = run
         data = None
-        if split is not None:
-            c_x, c_y = split
+        if not blocked:
+            if not right:
+                c_x, c_y = c_x[::-1], c_y[::-1]
             u, v = (x.key + c_x, y.key + c_y) if right else (c_x + x.key, c_y + y.key)
             if self._key(u) != self._key(v):
                 raise StructuralError(f"{side}-lcm complements of {x} and {y} close no common multiple")

@@ -17,6 +17,8 @@ from reference import PositiveMonoid
 
 A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
 ONE_FREE_PAIR = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 4})  # (a, c) free
+# (a, d) and (b, d) free
+TWO_FREE_PAIRS = ArtinPresentation("abcd", {("a", "b"): 5, ("b", "c"): 3, ("a", "c"): 2, ("c", "d"): 4})
 
 
 @pytest.fixture(scope="module")
@@ -288,8 +290,7 @@ def test_lcm_check_catches_a_table_that_breaks_a_relation():
 
 def test_lcm_check_needs_no_budget_of_its_own(monkeypatch):
     # the check runs no reversing, so a one-step default budget does not
-    # stop an lcm that the caller's budget settles, on either path: the
-    # kernel, and reverse_full when the cap leaves the kernel no allowance
+    # stop an lcm that the caller's budget settles, with or without a cap
     monkeypatch.setattr(monoid_module, "DEFAULT_STEP_BUDGET", 1)
     mon = Monoid(A3)
     x, y = mon.element("a"), mon.element("b")
@@ -299,12 +300,15 @@ def test_lcm_check_needs_no_budget_of_its_own(monkeypatch):
     assert mon.lcm_data("left", x, y, budget=100, max_len=4) == (mon.element("c"), mon.element("a"))
 
 
+_reverse_full = reversing.reverse_full  # the oracle's own reference, which `reversing_runs` does not count
+
+
 def _leftmost_lcm(mon, side, x, y, budget, max_len):
     """What the leftmost reversing run says about the lcm: its split terminal, or "trip"."""
     sign = -1 if side == "right" else 1
     word = signed_of_positive(x.key, sign) + signed_of_positive(y.key, -sign)
     try:
-        terminal = reversing.reverse_full(mon.presentation, side, word, budget, max_len).word
+        terminal = _reverse_full(mon.presentation, side, word, budget, max_len).word
     except BudgetExhausted:
         return "trip"
     split = reversing.split_terminal(side, terminal)
@@ -319,26 +323,56 @@ def _lcm_outcome(mon, side, x, y, budget, max_len):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """The number of reverse_full runs lcm_data has started, as a one-item list."""
+def reversing_runs(monkeypatch):
+    """The number of reverse_full runs the library has started, as a one-item list."""
     count = [0]
-    run = monoid_module.reverse_full
 
     def counted(*args):
         count[0] += 1
-        return run(*args)
+        return _reverse_full(*args)
 
     monkeypatch.setattr(monoid_module, "reverse_full", counted)
+    monkeypatch.setattr(reversing, "reverse_full", counted)
     return count
 
 
-def _check_lcm(mon, fallbacks, side, x, y, budget, cap, want):
-    """lcm_data gives `want`; with no cap, a settled lcm needs no reverse_full run."""
-    before = fallbacks[0]
+def _check_lcm(mon, reversing_runs, side, x, y, budget, cap, want):
+    """lcm_data gives `want` and starts no reverse_full run."""
     got = _lcm_outcome(mon, side, x, y, budget, cap)
     assert got == want, (side, str(x), str(y), budget, cap)
-    if cap is None and isinstance(got, tuple):
-        assert fallbacks[0] == before, (side, str(x), str(y), budget)
+    assert reversing_runs[0] == 0, (side, str(x), str(y), budget, cap)
+
+
+def _check_memo_entry(pres, s, w, hit):
+    """One complement memo entry against the leftmost right reversing run of w^-1 s on its own.
+
+    Returns the kind of entry: "trip", "settled" or "blocked".
+    """
+    word = signed_of_positive(w, -1) + (s + 1,)
+
+    def run(budget, cap):
+        return _reverse_full(pres, "right", word, budget, None if cap == float("inf") else cap)
+
+    if len(hit) == 2:  # the run trips under budget k and cap p
+        with pytest.raises(BudgetExhausted):
+            run(*hit)
+        return "trip"
+    w2, s2, steps, longest, blocked = hit
+    result = run(steps, longest)
+    assert result.steps == steps, (s, w, hit)
+    with pytest.raises(BudgetExhausted):
+        run(steps - 1, None)
+    with pytest.raises(BudgetExhausted):
+        run(steps, longest - 1)
+    split = reversing.split_terminal("right", result.word)
+    assert split == (None if blocked else (s2, w2)), (s, w, hit)
+    # s' spells the terminal before w'^-1, blocked or not, with the signs dropped
+    assert bytes(abs(c) - 1 for c in result.word) == s2 + w2[::-1], (s, w, hit)
+    return "blocked" if blocked else "settled"
+
+
+def _memo_entries(mon):
+    return {(s, w, hit) for s, memo in enumerate(mon._complements) for w, hit in memo.items()}
 
 
 # (budget, cap): the searches pass (1000, 512) and `lcm` (10000, None); the
@@ -353,7 +387,7 @@ LCM_LIMITS = [(1000, 512), (10000, None), (40, None), (200, 64), (7, 20), (1000,
      (ONE_FREE_PAIR, 3)],
     ids=["I2(2)", "I2(3)", "I2(4)", "A3", "A2~", "one-free-pair"],
 )
-def test_lcm_data_matches_the_leftmost_reversing_run(pres, max_len, fallbacks):
+def test_lcm_data_matches_the_leftmost_reversing_run(pres, max_len, reversing_runs):
     # every pair of elements up to max_len letters, both sides and every
     # (budget, cap) pair on one shared Monoid: lcm_data trips exactly where
     # the leftmost run trips, and otherwise gives its split terminal
@@ -365,15 +399,39 @@ def test_lcm_data_matches_the_leftmost_reversing_run(pres, max_len, fallbacks):
             for x in els:
                 for y in els:
                     want = _leftmost_lcm(mon, side, x, y, budget, cap)
-                    _check_lcm(mon, fallbacks, side, x, y, budget, cap, want)
+                    _check_lcm(mon, reversing_runs, side, x, y, budget, cap, want)
 
 
-def test_lcm_answers_do_not_depend_on_the_complement_memo(fallbacks):
+def test_lcm_data_matches_the_leftmost_run_on_random_words(reversing_runs):
+    # seeded random words of up to 7 letters, budgets 0-1000 and caps None or
+    # 0-512, both sides, on one shared Monoid per presentation (labels 2-5 and
+    # free pairs) and on fresh ones; then every entry the shared memo held
+    rng = random.Random(16)
+    kinds = set()
+    for pres in (braid_pair(5), ArtinPresentation("ab", {}), A3, all_threes(), ONE_FREE_PAIR, TWO_FREE_PAIRS):
+        shared = Monoid(pres)
+        n = len(pres.generators)
+        entries = set()
+        for _ in range(2000):
+            mon = shared if rng.random() < 0.75 else Monoid(pres)
+            x, y = (mon.element(bytes(rng.randrange(n) for _ in range(rng.randint(0, 7)))) for _ in "xy")
+            budget = rng.choice([0, 1, 2, 3, 5, 8, 13, 30, 100, 1000])
+            cap = rng.choice([None, None, 0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 512])
+            side = rng.choice(("right", "left"))
+            want = _leftmost_lcm(mon, side, x, y, budget, cap)
+            _check_lcm(mon, reversing_runs, side, x, y, budget, cap, want)
+            if mon is shared:
+                entries |= _memo_entries(shared)
+        kinds.update(_check_memo_entry(pres, *entry) for entry in entries)
+    assert kinds == {"trip", "settled", "blocked"}
+
+
+def test_lcm_answers_do_not_depend_on_the_complement_memo(reversing_runs):
     # one shared Monoid, a shuffled call sequence that mixes budgets, trips and
-    # aborts settled by a stored lower bound: each answer is the one a fresh
-    # Monoid gives for the same call.  Budgets 0-11 put a call that just
-    # suffices after calls that just did not, so a lower bound stored one step
-    # too high would send a settled lcm to reverse_full
+    # aborts settled by a stored trip: each answer is the one a fresh Monoid
+    # gives for the same call.  Budgets 0-11 put a call that just suffices
+    # after calls that just did not, so a trip stored one step too high would
+    # turn a settled lcm into a trip
     pres = all_threes()
     shared = Monoid(pres)
     words = ["a", "c", "ab", "ca", "abc", "aab", "bba", "aabb", "bbaa"]
@@ -381,28 +439,22 @@ def test_lcm_answers_do_not_depend_on_the_complement_memo(fallbacks):
     calls = [(side, x, y, *limit) for side in ("right", "left") for x in words for y in words for limit in limits]
     random.Random(15).shuffle(calls)
     outcomes = set()
-    bounds = set()  # every lower bound the memo held at some point
+    trips = set()  # every trip the memo held at some point
     for side, x, y, budget, cap in calls:
         fresh = Monoid(pres)
         want = _lcm_outcome(fresh, side, fresh.element(x), fresh.element(y), budget, cap)
         if isinstance(want, tuple):
             want = tuple(shared.element(c.key) for c in want)
-        _check_lcm(shared, fallbacks, side, shared.element(x), shared.element(y), budget, cap, want)
+        _check_lcm(shared, reversing_runs, side, shared.element(x), shared.element(y), budget, cap, want)
         outcomes.add("trip" if want == "trip" else "settled")
-        for s, memo in enumerate(shared._complements):
-            bounds.update((s, w, hit) for w, hit in memo.items() if hit.__class__ is not tuple)
+        trips.update(entry for entry in _memo_entries(shared) if len(entry[2]) == 2)
     assert outcomes == {"trip", "settled"}
-    # each memo entry is a fact about its key: a finished run is the one a
-    # fresh Monoid finds, an aborted one needs more steps than its bound
-    for s, memo in enumerate(shared._complements):
-        for w, hit in memo.items():
-            if hit.__class__ is tuple:
-                assert Monoid(pres)._complement(s, w, hit[2]) == hit
-    assert any(hit < float("inf") for _, _, hit in bounds)
-    for s, w, hit in bounds:
-        assert Monoid(pres)._complement(s, w, hit) is None, (s, w, hit)
+    # each memo entry is a fact about its key, checked by reversing w^-1 s on its own
+    kinds = {_check_memo_entry(pres, *entry) for entry in trips | _memo_entries(shared)}
+    assert kinds == {"trip", "settled"}
+    assert any(k < float("inf") for _, _, (k, _) in trips) and any(p < float("inf") for _, _, (_, p) in trips)
     # reversing (ab)^-1 c never ends; the kernel's explicit stack keeps a
-    # 10 000-step allowance from reaching the recursion limit
+    # 10 000-step budget from reaching the recursion limit
     mon = Monoid(pres)
     with pytest.raises(BudgetExhausted):
         mon.lcm_data("right", mon.element("ab"), mon.element("c"), 10_000)

@@ -175,6 +175,16 @@ def test_cli_free_pair_lcm(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
+def test_cli_lcm_trip_names_the_lcm(a2t_file, capsys):
+    # on A2~ reversing (ab)^-1 c never ends: the lcm is undetermined, and the
+    # trip names the lcm whichever limit it passed
+    for side in ("right", "left"):
+        assert main(["lcm", "--presentation", a2t_file, "--side", side, "ab", "c"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"undetermined: {side}-lcm of ab and c undetermined within budget\n"
+
+
 def test_cli_strategy_flags(a2t_file, capsys):
     rc = main(["solve", "--presentation", a2t_file, "aB", "--strategy", "quadratic"])
     assert rc == 1
