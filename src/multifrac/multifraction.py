@@ -266,8 +266,9 @@ class _ReductionStates(_CompactStates):
     __slots__ = ()
 
     def children(self, state: bytes) -> tuple[list, bool]:
-        """Every ((i, x), child state), ordered by (i, x), and False when a
-        candidate was skipped because its lcm ran out of budget."""
+        """Every (0, (i, x), child state), ordered by (i, x), and False when
+        a candidate was skipped because its lcm ran out of budget; every
+        priority delta is 0, so the search is breadth-first."""
         ids = memoryview(state).cast("I")
         memos, children, complete = self._memos, [], True
         # a step at i needs a_{i+1} != 1, so the scan starts at the first nonzero entry
@@ -284,7 +285,7 @@ class _ReductionStates(_CompactStates):
             complete = complete and settled
             if rows:
                 head, tail = state[:lo], state[hi:]
-                children += [((i, x), head + rep + tail) for x, rep in rows]
+                children += [(0, (i, x), head + rep + tail) for x, rep in rows]
         return children, complete
 
     def _window(self, i: int, ids) -> tuple[list, bool]:
@@ -322,7 +323,7 @@ def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[lis
     """
     states = _ReductionStates(m, lcm_budget)
     children, complete = states.children(states.encode(entries))
-    return [(ReductionStep(i, x), states.decode(child)) for (i, x), child in children], complete
+    return [(ReductionStep(i, x), states.decode(child)) for _, (i, x), child in children], complete
 
 
 def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:
@@ -349,33 +350,34 @@ class SearchResult:
     reason: str | None = None
 
 
-def _search(start, successors, is_target, state_budget, priority=None) -> SearchResult:
+def _search(start, successors, is_target, state_budget, priority=0) -> SearchResult:
     """Budgeted reachability search shared by every rewrite system here.
 
     States are hashable and are their own dedupe keys.  `successors(state)`
-    returns (children, complete): children is a list of (step, child) in a
-    deterministic order, and complete is False when an lcm ran out of
-    budget while they were enumerated, which the engine records as "lcm
-    budget" before it reads them.  A child (None, reason) marks work a
-    cap skipped at that point of the list ("depth cap" in split
-    reduction).  States leave the frontier by (priority(state), insertion
-    tick), so priority=None is breadth-first.  `steps` counts admitted
-    children before dedupe.  Reasons rank "state budget" over "lcm budget"
-    over "depth cap"; a found trace carries no reason, and its `complete`
-    covers only the caps met before it.
+    returns (children, complete): children is a list of (delta, step,
+    child) in a deterministic order, and complete is False when an lcm ran
+    out of budget while they were enumerated, which the engine records as
+    "lcm budget" before it reads them.  A child (delta, None, reason) marks
+    work a cap skipped at that point of the list ("depth cap" in split
+    reduction).  `priority` is the start's priority and a child's is its
+    parent's plus its delta; states leave the frontier by (priority,
+    insertion tick), so a search whose deltas are all 0 is breadth-first.
+    `steps` counts admitted children before dedupe.  Reasons rank "state
+    budget" over "lcm budget" over "depth cap"; a found trace carries no
+    reason, and its `complete` covers only the caps met before it.
     """
     if is_target(start):
         return SearchResult(True, True, (), 1, 0)
     seen: dict = {start: None}  # state -> (parent state, step), None at the start
-    frontier = [(priority(start) if priority else 0, 0, start)]
+    frontier = [(priority, 0, start)]
     tick = edges = 0
     reason = None
     while frontier:
-        cur = heapq.heappop(frontier)[2]
+        priority, _, cur = heapq.heappop(frontier)
         children, complete = successors(cur)
         if not complete:
             reason = "lcm budget"
-        for step, child in children:
+        for delta, step, child in children:
             if step is None:  # a cap, outranked by "lcm budget"
                 reason = reason or child
                 continue
@@ -392,7 +394,7 @@ def _search(start, successors, is_target, state_budget, priority=None) -> Search
                     trace.append(st)
                 return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
             tick += 1
-            heapq.heappush(frontier, (priority(child) if priority else 0, tick, child))
+            heapq.heappush(frontier, (priority + delta, tick, child))
     return SearchResult(False, reason is None, (), len(seen), edges, reason)
 
 

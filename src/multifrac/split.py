@@ -135,22 +135,43 @@ class _SplitStates(_CompactStates):
     entry; a split at i reads a_i and a_{i+1} and writes four entries.  So
     a trim's memo entry, keyed by its 12-byte window, is the merged entry's
     4-byte id, and a split's, keyed by its 8-byte window, holds its encoded
-    (x, y, replacement) rows, ordered by (y, x), and a flag that is False
-    when an lcm ran out of budget.  The two window lengths cannot collide
-    in the memo of a parity.
+    (x, y, replacement, delta) rows, ordered by (y, x), and a flag that is
+    False when an lcm ran out of budget.  The two window lengths cannot
+    collide in the memo of a parity.
+
+    A state's priority is wordlength * scale + depth, which orders states
+    by (word-length, depth): no state is deeper than the start or the
+    depth cap, and `scale` is one more than both.  A split changes the
+    word-length by |c_x| + |c_y| - |x| - |y| and the depth by +2, and a
+    trim keeps the word-length and lowers the depth by 2, so each split row
+    stores its priority delta, a trim's is -2, and a child's priority is
+    its parent's plus its delta.
     """
 
-    __slots__ = ()
+    __slots__ = ("cap", "scale")
 
-    def __init__(self, monoid: Monoid):
+    def __init__(self, monoid: Monoid, max_depth: int, start_depth: int):
         super().__init__(monoid, DEFAULT_LCM_BUDGET)
+        self.cap = 4 * max_depth  # in bytes
+        self.scale = max(start_depth, max_depth) + 1
+
+    def priority(self, state: bytes) -> int:
+        return self.wordlength(state) * self.scale + len(state) // 4
 
     def children(self, state: bytes) -> tuple[list, bool]:
-        """Every (step, child state), trims by i then splits by (i, y, x),
-        and False when a pair was skipped because its lcm ran out of
-        budget.  A step is (i,) for a trim and (i, x, y) for a split."""
+        """Every (priority delta, step, child state), trims by i then splits
+        by (i, y, x), and False when a pair was skipped because its lcm ran
+        out of budget.  A step is (i,) for a trim and (i, x, y) for a split.
+
+        A child deeper than the cap is not built: one (0, None, "depth
+        cap") follows the children that are.  Every window is still
+        settled, so that an lcm budget trip at the cap outranks the cap.
+        """
         ids = memoryview(state).cast("I")
         memos, trims, splits, complete = self._memos, [], [], True
+        # a trim drops two entries and a split adds two, so the state's
+        # length says which kinds pass the cap
+        trim_ok, split_ok, capped = len(state) - 8 <= self.cap, len(state) + 8 <= self.cap, False
         # one pass: a trim at i needs a_{i+1} = 1 and i < depth - 1, and a
         # split at i needs a_i and a_{i+1} not both 1 (the only divisor
         # pair would be (1, 1), which is no step)
@@ -158,13 +179,15 @@ class _SplitStates(_CompactStates):
         for i in range(1, len(ids)):
             lo = 4 * i - 4
             if not ids[i]:
-                if i < last:
+                if i < last and not trim_ok:
+                    capped = True
+                elif i < last:
                     window = state[lo:lo + 12]
                     memo = memos[i & 1]
                     merged = memo.get(window)
                     if merged is None:
                         merged = memo[window] = self._trim(i, ids)
-                    trims.append(((i,), state[:lo] + merged + state[lo + 12:]))
+                    trims.append((-2, (i,), state[:lo] + merged + state[lo + 12:]))
                 if not ids[i - 1]:
                     continue
             window = state[lo:lo + 8]
@@ -174,9 +197,13 @@ class _SplitStates(_CompactStates):
                 hit = memo[window] = self._split(i, ids)
             rows, settled = hit
             complete = complete and settled
-            if rows:
+            if rows and not split_ok:
+                capped = True
+            elif rows:
                 head, tail = state[:lo], state[lo + 8:]
-                splits += [((i, x, y), head + rep + tail) for x, y, rep in rows]
+                splits += [(delta, (i, x, y), head + rep + tail) for x, y, rep, delta in rows]
+        if capped:
+            trims.append((0, None, "depth cap"))
         return trims + splits, complete
 
     def _trim(self, i: int, ids) -> bytes:
@@ -187,7 +214,7 @@ class _SplitStates(_CompactStates):
 
     def _split(self, i: int, ids) -> tuple[list, bool]:
         """The splits at position i of a state, on their window alone."""
-        m, element, id_of = self.monoid, self.monoid.element, self.ids
+        m, element, id_of, scale = self.monoid, self.monoid.element, self.ids, self.scale
         one, a_i, a_next = m.identity, id_of.elems[ids[i - 1]], id_of.elems[ids[i]]
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
         ys, y_cofactors = m._divisor_table(side, a_i)  # ys[0] is 1
@@ -195,6 +222,7 @@ class _SplitStates(_CompactStates):
         rows, settled = [], True
         for y in ys:
             b_i = a_i if y is one else element(y_cofactors[y])
+            y_len = len(y.key)
             for x in xs[1:] if y is one else xs:
                 try:
                     data = m.lcm_data(lcm_side, x, y, self.lcm_budget, DEFAULT_LCM_MAX_LEN)
@@ -204,7 +232,9 @@ class _SplitStates(_CompactStates):
                 if data is not None:
                     comp_x, comp_y = data
                     b_last = a_next if x is one else element(x_cofactors[x])
-                    rows.append((x, y, _pack4(id_of[b_i], id_of[comp_y], id_of[comp_x], id_of[b_last])))
+                    growth = len(comp_x.key) + len(comp_y.key) - len(x.key) - y_len
+                    rows.append((x, y, _pack4(id_of[b_i], id_of[comp_y], id_of[comp_x], id_of[b_last]),
+                                 growth * scale + 2))
         return rows, settled
 
 
@@ -220,9 +250,9 @@ def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
     the search's kernel, `_SplitStates.children`.  The flag is False when a
     pair was skipped because its lcm ran out of budget.
     """
-    states = _SplitStates(m)
+    states = _SplitStates(m, len(entries) + 2, len(entries))
     children, complete = states.children(states.encode(entries))
-    return [(_step(step), states.decode(child)) for step, child in children], complete
+    return [(_step(step), states.decode(child)) for _, step, child in children], complete
 
 
 def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
@@ -245,30 +275,21 @@ def split_reduces_to_trivial(
     far sooner than breadth-first in this heavily branching system; the
     exploration order does not affect what "exhausted" means.  found=True
     is definitive; anything else is undetermined (complete=False whenever a
-    cap did any work).  The search runs on `_SplitStates`, its target is
-    the all-zero state, and a state's word-length is read off the id
-    table's entry lengths.  The engine records (i,) for a trim and
-    (i, x, y) for a split; `TrimStep`s and `SplitStep`s are built only
-    for the returned trace.
+    cap did any work).  The search runs on `_SplitStates`: a child's
+    priority is its parent's plus the delta stored with its window's row,
+    so no state's entries are summed after the start's, and the target is
+    the all-zero state.  The engine records (i,) for a trim and (i, x, y)
+    for a split; `TrimStep`s and `SplitStep`s are built only for the
+    returned trace.
     """
     if max_depth is None:
         max_depth = 2 * a.depth + 12
-    states = _SplitStates(a.monoid)
-    cap = 4 * max_depth  # in bytes: a split adds two entries, a trim drops two
-
-    def successors(state: bytes) -> tuple[list, bool]:
-        # the kernel settles every lcm even at the cap, so that an lcm
-        # budget trip there still outranks the depth cap
-        children, complete = states.children(state)
-        if len(state) + 8 > cap:
-            children = [(s, c) if len(c) <= cap else (None, "depth cap") for s, c in children]
-        return children, complete
-
-    # the target is the all-zero state, of any depth; len(s) = 4 * depth
-    # ranks states as the depth does
-    wordlength = states.wordlength
-    res = _search(states.encode(a.entries), successors, lambda s: s.count(0) == len(s),
-                  state_budget, lambda s: (wordlength(s), len(s)))
+    states = _SplitStates(a.monoid, max_depth, a.depth)
+    start = states.encode(a.entries)
+    # the target is an all-zero state; no state the search admits is deeper
+    # than the cap, or than the start plus two entries per admitted state
+    zeros = bytes(4 * min(states.scale, a.depth + 2 * max(state_budget, 0)))
+    res = _search(start, states.children, zeros.startswith, state_budget, states.priority(start))
     if res.trace:
         res = replace(res, trace=tuple(map(_step, res.trace)))
     return res

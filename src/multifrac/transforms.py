@@ -7,31 +7,51 @@ reversing, and one step of left reversing.  All four preserve the
 represented group element, so emptying a word certifies that it represents
 the identity.
 
-`special_neighbors` enumerates single steps on raw signed-word tuples in
-one in-order scan of the word's length-2 factors: a factor's first two
-letters pick out the one relation factor that can start there or, where
-the sign changes, the reversing-table entry that replaces them, so nothing
-is tried twice and nothing is sorted.  It checks each step's result length
-against a required cap before it builds the step: an equivalence keeps the
-length, and a reversing step swaps two letters for its table entry, so it
-grows the word by at most 2*m - 4 for the largest finite label m.  The
-reachability search always uses the cap len(word), so no word it reaches
-is longer than its start, the reachable set is finite and the search is
-exhaustive without any budget at desk scale.
+The search runs on byte words (`words.bytes_of_signed`, one byte per
+signed letter).  One table per presentation (`_step_table`), keyed by a
+word's first two letters, gives the one step that can start there: the
+relation factor that begins with those letters or, where the sign
+changes, the reversing-table entry that replaces them, with its
+replacement and its growth.  So one in-order scan of a word's length-2
+factors (the kernel `_children`) finds every step, tries nothing twice
+and sorts nothing, and it checks each step's growth against a length cap
+before it builds the child: an equivalence keeps the length, and a
+reversing step swaps two letters for its table entry, so it grows the
+word by at most 2*m - 4 for the largest finite label m.  The kernel
+records a step as (kind, at); `WordStep`s are built only for the returned
+trace, which `search_empty_word` replays on signed tuples before it
+returns it, and `special_neighbors` is the same scan behind signed-tuple
+input and output.  The reachability search always uses the cap
+len(word), so no word it reaches is longer than its start, the reachable
+set is finite and the search is exhaustive without any budget at desk
+scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import not_
 
+from .errors import PresentationError, StructuralError
 from .monoid import Monoid
 from .multifraction import DEFAULT_STATE_BUDGET, SearchResult, _search
 from .presentation import ArtinPresentation
 from .reversing import _tables, reverse_step
-from .words import SignedWord, invert, signed_of_positive, signed_str
+from .words import (
+    MAX_BYTE_LETTER,
+    SignedWord,
+    bytes_of_signed,
+    invert,
+    signed_of_bytes,
+    signed_of_positive,
+    signed_str,
+)
 
 __all__ = ["WordStep", "special_neighbors", "apply_word_step", "search_empty_word"]
+
+# the step kinds, in the order a word's children list them
+RULES = ("pos", "neg", "rrev", "lrev")
 
 
 @dataclass(frozen=True)
@@ -70,37 +90,83 @@ def _relation_factors(pres: ArtinPresentation) -> dict[tuple[int, int], tuple[st
     return out
 
 
+@lru_cache(maxsize=None)
+def _step_table(pres: ArtinPresentation) -> dict[bytes, tuple[int, bytes, int, bytes, int]]:
+    """(kind, factor, factor length, replacement, growth) of the one special
+    step that can start at each pair of byte letters; kind indexes RULES.
+
+    A relation factor's first two letters have one sign, and a reversing
+    factor's two letters have opposite signs, so the relation factors
+    (`_relation_factors`) and the two reversing tables (`reversing._tables`)
+    never share a key.  A sign change missing from the table is a free
+    pair, which has no step.
+    """
+    if len(pres.generators) > MAX_BYTE_LETTER:
+        raise PresentationError(
+            f"special transformations run on byte words, which hold at most "
+            f"{MAX_BYTE_LETTER} generators; this presentation has {len(pres.generators)}"
+        )
+    table = {}
+    for pair, (rule, fac, rep) in _relation_factors(pres).items():
+        table[bytes_of_signed(pair)] = (RULES.index(rule), bytes_of_signed(fac), len(fac),
+                                        bytes_of_signed(rep), 0)
+    for kind, side in ((2, "right"), (3, "left")):
+        for pair, rep in _tables(pres, side).items():
+            key = bytes_of_signed(pair)
+            table[key] = (kind, key, 2, bytes_of_signed(rep), len(rep) - 2)
+    return table
+
+
+def _children(pres: ArtinPresentation, max_len: int):
+    """The kernel: a word's children under the cap `max_len`.
+
+    It maps a byte word to every (0, (kind, at), child word): "pos", then
+    "neg", then "rrev", then "lrev" steps, each kind by position, and True,
+    since special steps never skip work.  A positive (negative) factor
+    matching one side of a relation is always contained in a maximal
+    positive (negative) run, so plain subword search enumerates exactly
+    the one-relation equivalence steps; a two-letter factor is matched by
+    its key alone.
+    """
+    get = _step_table(pres).get
+
+    def children(word: bytes) -> tuple[list, bool]:
+        room = max_len - len(word)  # the growth the cap allows
+        found: tuple[list, list, list, list] = ([], [], [], [])
+        for k in range(len(word) - 1):
+            hit = get(word[k : k + 2])
+            if hit is not None:
+                kind, fac, n, rep, growth = hit
+                if growth <= room and (n == 2 or word.startswith(fac, k)):
+                    found[kind].append((0, (kind, k), word[:k] + rep + word[k + n :]))
+        pos, neg, rrev, lrev = found
+        return pos + neg + rrev + lrev, True
+
+    return children
+
+
+def _word_step(hit: tuple, at: int) -> WordStep:
+    """The WordStep of the table entry `hit` applied at `at`."""
+    kind, fac, _, rep, _ = hit
+    if kind > 1:
+        return WordStep(RULES[kind], at)
+    return WordStep(RULES[kind], at, signed_of_bytes(fac), signed_of_bytes(rep))
+
+
 def special_neighbors(monoid: Monoid, word: SignedWord, max_len: int) -> list[tuple[WordStep, SignedWord]]:
     """All single special steps from `word`: "pos", then "neg", then
     "rrev", then "lrev" steps, each kind by position.
 
-    A positive (negative) factor matching one side of a relation is always
-    contained in a maximal positive (negative) run, so plain subword search
-    enumerates exactly the one-relation equivalence steps.  Steps whose
-    result would be longer than `max_len` are skipped before they are
+    These are the search's children (`_children`) on signed tuples.  Steps
+    whose result would be longer than `max_len` are skipped before they are
     built; a cap of len(word) + 2*m - 4, with m the largest finite label,
     skips none.
     """
     pres = monoid.presentation
-    word = tuple(word)
-    factors = _relation_factors(pres)
-    right, left = _tables(pres, "right"), _tables(pres, "left")
-    room = max_len - len(word)  # the growth the cap allows
-    found = {"pos": [], "neg": [], "rrev": [], "lrev": []}
-    for k, pair in enumerate(zip(word, word[1:])):
-        hit = factors.get(pair)
-        if hit is not None:
-            rule, fac, rep = hit
-            n = len(fac)
-            if room >= 0 and word[k : k + n] == fac:
-                found[rule].append((WordStep(rule, k, fac, rep), word[:k] + rep + word[k + n :]))
-        elif (pair[0] > 0) != (pair[1] > 0):
-            # right reversing rewrites s^-1 t, left reversing s t^-1; a free
-            # pair has no table entry and no reversing step
-            rule, rep = ("rrev", right.get(pair)) if pair[0] < 0 else ("lrev", left.get(pair))
-            if rep is not None and len(rep) - 2 <= room:
-                found[rule].append((WordStep(rule, k), word[:k] + rep + word[k + 2 :]))
-    return found["pos"] + found["neg"] + found["rrev"] + found["lrev"]
+    w = bytes_of_signed(word)
+    children, _ = _children(pres, max_len)(w)
+    table = _step_table(pres)
+    return [(_word_step(table[w[at : at + 2]], at), signed_of_bytes(child)) for _, (_, at), child in children]
 
 
 def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedWord:
@@ -123,6 +189,30 @@ def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedW
     raise ValueError(f"unknown rule {step.rule!r}")
 
 
+def _replayed(monoid: Monoid, word: SignedWord, trace: tuple) -> tuple[WordStep, ...]:
+    """The WordSteps of a found trace of (kind, at) steps.
+
+    Each step's factors are read off the byte table along the trace, and
+    each step is re-applied to the signed word by `apply_word_step`, which
+    does not read the byte table; StructuralError unless that replay ends
+    at the empty word.
+    """
+    table, steps = _step_table(monoid.presentation), []
+    cur, w = bytes_of_signed(word), word
+    for _, at in trace:
+        hit = table[cur[at : at + 2]]
+        step = _word_step(hit, at)
+        cur = cur[:at] + hit[3] + cur[at + hit[2] :]
+        try:
+            w = apply_word_step(monoid, w, step)
+        except ValueError as exc:
+            raise StructuralError(f"emptying trace failed to revalidate: {exc}") from exc
+        steps.append(step)
+    if w:
+        raise StructuralError("emptying trace does not end at the empty word")
+    return tuple(steps)
+
+
 def search_empty_word(
     monoid: Monoid,
     word: SignedWord,
@@ -130,14 +220,18 @@ def search_empty_word(
 ) -> SearchResult:
     """Breadth-first search for the empty word under special steps.
 
-    found=True certifies that `word` represents 1 (the trace revalidates
-    step by step).  No step may make the word longer than `word`, which
-    keeps the search space finite; an exhausted search then means "not
-    emptiable without growing the word", which does *not* by itself decide
-    the word problem.
+    found=True certifies that `word` represents 1: the trace is replayed on
+    signed tuples by `apply_word_step` before it is returned, and a trace
+    that does not reach the empty word raises StructuralError.  No step may
+    make the word longer than `word`, which keeps the search space finite;
+    an exhausted search then means "not emptiable without growing the
+    word", which does *not* by itself decide the word problem.  The search
+    runs on byte words, so it raises PresentationError on a presentation
+    with more than 127 generators.
     """
     word = tuple(word)
-    max_len = len(word)
-    # special steps never skip work, so every enumeration is complete
-    return _search(word, lambda w: (special_neighbors(monoid, w, max_len=max_len), True),
-                   lambda w: not w, state_budget)
+    children = _children(monoid.presentation, len(word))
+    res = _search(bytes_of_signed(word), children, not_, state_budget)
+    if res.trace:
+        res = replace(res, trace=_replayed(monoid, word, res.trace))
+    return res

@@ -6,6 +6,10 @@ positive letter as the lowercase generator name and its inverse as the
 corresponding uppercase letter, with no separators: "abC" = a b c^-1.
 Free reduction is *not* applied implicitly anywhere; the rewriting systems
 in this package treat deletion of trivial factors as an explicit step.
+
+The special-transformation search runs on byte words, one byte per signed
+letter: generator number i is the byte i+1 and its inverse the byte
+0x80 | (i+1), so a byte word covers up to 127 generators.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ __all__ = [
     "signed_of_positive",
     "positive_of_run",
     "runs",
+    "bytes_of_signed",
+    "signed_of_bytes",
+    "MAX_BYTE_LETTER",
 ]
+
+MAX_BYTE_LETTER = 0x7F  # the largest generator number a byte word holds
 
 
 def parse_signed(pres: ArtinPresentation, text: str) -> SignedWord:
@@ -101,3 +110,15 @@ def runs(word: SignedWord) -> list[tuple[int, bytes]]:
         out.append((sign, positive_of_run(word[i:j])))
         i = j
     return out
+
+
+def bytes_of_signed(word: SignedWord) -> bytes:
+    """Signed word -> byte word: g -> g, g^-1 -> 0x80 | g."""
+    if word and max(map(abs, word)) > MAX_BYTE_LETTER:
+        raise ValueError(f"a byte word holds generators 1..{MAX_BYTE_LETTER} only")
+    return bytes(x if x > 0 else 0x80 - x for x in word)
+
+
+def signed_of_bytes(word: bytes) -> SignedWord:
+    """Byte word -> signed word, the inverse of `bytes_of_signed`."""
+    return tuple(b if b < 0x80 else 0x80 - b for b in word)

@@ -13,7 +13,7 @@ from multifrac import (
     PresentationError,
     decide,
 )
-from multifrac.words import parse_signed, signed_str
+from multifrac.words import bytes_of_signed, parse_signed, signed_of_bytes, signed_str
 
 from oracles import all_threes, braid_pair, random_signed_word
 
@@ -56,6 +56,7 @@ def test_signed_word_roundtrip():
     for _ in range(50):
         w = random_signed_word(rng, pres, rng.randint(0, 10))
         assert parse_signed(pres, signed_str(pres, w)) == w
+        assert signed_of_bytes(bytes_of_signed(w)) == w
 
 
 def test_decide_accepts_parsed_words():

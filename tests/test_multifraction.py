@@ -192,10 +192,15 @@ def test_reduction_children_match_apply_reduction(pres, max_len):
 
 
 def _tuple_search(a, lcm_budget, state_budget):
-    """The reference search: the engine on raw entry tuples, through the oracle."""
+    """The reference search: the engine on raw entry tuples, through the
+    oracle, with every priority delta 0 (breadth-first)."""
     m = a.monoid
-    return _search(a.entries, lambda e: _applied_children(Multifraction._of(m, e), lcm_budget),
-                   lambda e: not any(x.key for x in e), state_budget)
+
+    def successors(entries):
+        children, complete = _applied_children(Multifraction._of(m, entries), lcm_budget)
+        return [(0, s, c) for s, c in children], complete
+
+    return _search(a.entries, successors, lambda e: not any(x.key for x in e), state_budget)
 
 
 def _pinned(res):

@@ -256,6 +256,19 @@ def test_cli_proph_split_reduce(a2_file, a2t_file, capsys):
     assert capsys.readouterr().out == "undetermined (lcm budget): abc/cba/abc/cba\n"
 
 
+def test_cli_proph_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypatch, capsys):
+    # a^-1 b right-reverses to b a b^-1 a^-1; the corrupted entry claims it deletes
+    from multifrac.transforms import _step_table
+    from multifrac.words import bytes_of_signed
+
+    table = _step_table(braid_pair(3))  # the file's presentation is equal, so it reads this table
+    key = bytes_of_signed((-1, 2))
+    kind, fac, n, _, _ = table[key]
+    monkeypatch.setitem(table, key, (kind, fac, n, b"", -2))
+    assert main(["proph", "--presentation", a2_file, "Ab"]) == 4
+    assert capsys.readouterr().out == ""
+
+
 QUADRATIC_JSON = {
     ("A2", "abAB"): '{"version":1,"presentation":{"generators":["a","b"],"labels":[["a","b",3]]},'
     '"input":"abAB","padding":18,"answer":"undetermined","trace":[],'

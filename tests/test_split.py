@@ -22,6 +22,7 @@ from multifrac.multifraction import _search
 from multifrac.split import (
     DEFAULT_SPLIT_STATE_BUDGET,
     _split_children,
+    _SplitStates,
     apply_split_or_trim,
     split_step_candidates,
 )
@@ -163,15 +164,23 @@ def test_split_children_match_apply_split_and_trim(pres, max_len):
 
 def _tuple_split_search(a, state_budget, max_depth):
     """The reference search: the engine on raw entry tuples, through the
-    oracle, with the compact search's priority, target and depth cap."""
+    oracle, with the compact search's order, target and depth cap.  Each
+    state's priority is worked out from scratch, by summing its entries'
+    lengths, and a child's delta is the difference of the two."""
     m = a.monoid
+    scale = max(a.depth, max_depth) + 1  # deeper than any admitted state
+
+    def priority(entries):
+        return sum(len(x.key) for x in entries) * scale + len(entries)
 
     def successors(entries):
         children, complete = _applied_children(Multifraction._of(m, entries))
-        return [(s, c) if len(c) <= max_depth else (None, "depth cap") for s, c in children], complete
+        base = priority(entries)
+        return [(priority(c) - base, s, c) if len(c) <= max_depth else (0, None, "depth cap")
+                for s, c in children], complete
 
     return _search(a.entries, successors, lambda e: not any(x.key for x in e), state_budget,
-                   lambda e: (sum(len(x.key) for x in e), len(e)))
+                   priority(a.entries))
 
 
 def _pinned(res):
@@ -193,12 +202,38 @@ def test_compact_split_search_matches_tuple_search(pres, max_len):
         for p in (0, 1):
             start = a.pad(p)
             default_depth = 2 * start.depth + 12
-            for state_budget, max_depth in ((100, default_depth), (100, start.depth + 2), (20, default_depth)):
+            # under depth - 3 every child of the start, trims included, is deeper than the cap
+            for state_budget, max_depth in ((100, default_depth), (100, start.depth + 2), (20, default_depth),
+                                            (20, start.depth - 3)):
                 got = split_reduces_to_trivial(start, state_budget, max_depth)
                 want = _tuple_split_search(start, state_budget, max_depth)
                 assert _pinned(got) == _pinned(want), (w, p, state_budget, max_depth)
                 reasons.add(got.reason)
     assert {None, "state budget", "depth cap"} <= reasons
+
+
+@EVERY_WORD_UP_TO
+def test_split_rows_carry_the_priority_delta(pres, max_len):
+    # every child of every start of the differential test above: its word
+    # length is the parent's plus the length part of the delta it came with
+    mon = Monoid(pres)
+    kinds = set()
+    for w in signed_words_up_to(pres, max_len):
+        a = Multifraction.from_signed_word(mon, w)
+        for p in (0, 1):
+            start = a.pad(p)
+            states = _SplitStates(mon, 2 * start.depth + 12, start.depth)
+            parent = states.encode(start.entries)
+            length, scale = states.wordlength(parent), states.scale
+            for delta, step, child in states.children(parent)[0]:
+                kinds.add(len(step))
+                if len(step) == 1:  # a trim keeps the word length and drops two entries
+                    assert delta == -2 and states.wordlength(child) == length, (w, p, step)
+                else:  # a split adds two entries
+                    assert (delta - 2) % scale == 0, (w, p, step)
+                    assert length + (delta - 2) // scale == states.wordlength(child), (w, p, step)
+                assert states.priority(parent) + delta == states.priority(child)
+    assert kinds == {1, 3}
 
 
 def test_compact_split_search_matches_tuple_search_on_lcm_budget_trips(a2t):
@@ -223,6 +258,11 @@ def test_split_children_skip_unsettled_lcms(a2t):
 
 def test_split_search_trivial_cases(a2, a2t):
     assert split_reduces_to_trivial(mf(a2, "", "")).found
+    for state_budget in (0, -1):
+        assert split_reduces_to_trivial(mf(a2, "", ""), state_budget).found
+    # a cap the state budget cannot reach binds nowhere, and costs nothing
+    start = mf(a2, "ab", "ba")
+    assert split_reduces_to_trivial(start, 50, 10**12) == split_reduces_to_trivial(start, 50, 200)
     w = Multifraction.from_signed_word(a2, parse_signed(a2.presentation, "abaBAB"))
     res = split_reduces_to_trivial(w)
     assert res.found

@@ -5,12 +5,16 @@ import pytest
 from multifrac import (
     ArtinPresentation,
     Monoid,
+    PresentationError,
+    StructuralError,
     apply_word_step,
     equal_in_group_fc,
     search_empty_word,
     special_neighbors,
 )
-from multifrac.words import parse_signed, signed_str
+from multifrac.multifraction import DEFAULT_STATE_BUDGET, _search
+from multifrac.transforms import _step_table
+from multifrac.words import bytes_of_signed, parse_signed, signed_str
 
 from oracles import (
     all_threes,
@@ -84,6 +88,83 @@ def test_neighbors_match_sorted_scan_of_every_position(pres, max_len):
         for cap in (None, len(w) - 2, len(w), len(w) + 2):
             got = special_neighbors(mon, w, max_len=uncapped(mon, w) if cap is None else cap)
             assert got == naive_special_neighbors(mon, w, cap), (w, cap)
+
+
+def _tuple_proph_search(mon, word, state_budget):
+    """The reference search: the engine on signed tuples, through the
+    oracle, under the search's length cap len(word)."""
+    cap = len(word)
+
+    def successors(w):
+        return [(0, step, child) for step, child in naive_special_neighbors(mon, w, cap)], True
+
+    return _search(tuple(word), successors, lambda w: not w, state_budget)
+
+
+def _pinned(res, pres):
+    return (res.found, res.complete, res.states, res.steps, res.reason,
+            [step.json_obj(pres) for step in res.trace])
+
+
+@pytest.mark.parametrize(
+    "pres, max_len",
+    [
+        (braid_pair(3), 6),
+        (braid_pair(4), 6),
+        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}), 5),
+        (all_threes(), 4),
+        (ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 2}), 4),
+    ],
+    ids=["I2(3)", "I2(4)", "A3", "A2~", "free-pair"],
+)
+def test_byte_search_matches_tuple_search(pres, max_len):
+    # every signed word, at the default state budget and at budgets 5 and 20
+    mon = Monoid(pres)
+    outcomes = set()
+    for w in signed_words_up_to(pres, max_len):
+        for state_budget in (DEFAULT_STATE_BUDGET, 5, 20):
+            got = search_empty_word(mon, w, state_budget)
+            want = _tuple_proph_search(mon, w, state_budget)
+            assert _pinned(got, pres) == _pinned(want, pres), (w, state_budget)
+            outcomes.add((got.found, got.reason))
+    assert {(True, None), (False, None)} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "word, pair, entry",
+    [
+        # a^-1 b right-reverses to b a b^-1 a^-1; the entry claims it deletes
+        ("Ab", "Ab", lambda kind, fac, n, rep, growth: (kind, fac, n, b"", -2)),
+        # aba -> bab; the entry claims aba -> 1, which is no relation
+        ("aba", "ab", lambda kind, fac, n, rep, growth: (kind, fac, n, b"", -n)),
+    ],
+    ids=["reversing", "relation"],
+)
+def test_search_revalidates_its_trace_without_the_byte_table(monkeypatch, word, pair, entry):
+    pres = braid_pair(3)
+    table = _step_table(pres)
+    key = bytes_of_signed(parse_signed(pres, pair))
+    monkeypatch.setitem(table, key, entry(*table[key]))
+    with pytest.raises(StructuralError):
+        search_empty_word(Monoid(pres), parse_signed(pres, word))
+
+
+def test_byte_words_hold_127_generators():
+    def pres(n):
+        return ArtinPresentation([f"g{i}" for i in range(n)], {("g0", "g1"): 3, ("g125", "g126"): 2})
+
+    mon = Monoid(pres(127))
+    assert search_empty_word(mon, (127, 126, -127, -126)).found
+    assert not search_empty_word(mon, (127, 1)).found
+    assert [s.rule for s, _ in special_neighbors(mon, (1, 2, 1), max_len=3)] == ["pos"]
+    # a generator number past 127 has no byte letter
+    with pytest.raises(ValueError):
+        bytes_of_signed((128,))
+    big = Monoid(pres(128))
+    with pytest.raises(PresentationError):
+        search_empty_word(big, (1, -1))
+    with pytest.raises(PresentationError):
+        special_neighbors(big, (1, -1), max_len=2)
 
 
 def test_neighbors_preserve_class_and_cap_respects_length(a2):
