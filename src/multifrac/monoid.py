@@ -70,9 +70,23 @@ what the Monoid settled before.
 `congruence_class` enumerates a class by rewriting.  The package never
 calls it; it stays as the tests' oracle for the kernels above.
 
+Each element gets a dense id when it is interned, in order of interning,
+the identity 0, and keeps it for the life of its Monoid, so every search
+on a Monoid encodes states the same way (multifraction._CompactStates).
+The lcm cache and the reduction kernel's window memos (one per parity
+and lcm budget, see multifraction._ReductionStates) are `_Memo`s: two
+generations of at most MEMO_CAP entries each.  New entries go into the
+young one; a full young generation becomes the old one, and an old entry
+that is read again is copied back into the young one.  Every value they
+hold is a function of its key, so dropping an old generation costs at
+most a recomputation.  The quotient, key, divisor and complement memos
+and the elements themselves are kept for the life of the Monoid, which
+is what keeps one element, and one id, per key.
+
 Elements are immutable and operations are pure.  Creating an element
 holds a per-monoid lock, so threads sharing a Monoid still get one element
-per class; every value the memos and caches hold is a function of its key,
+and one id per class, and a `_Memo` takes its own lock to insert or to
+rotate; every value the memos and caches hold is a function of its key,
 or (for an aborted complement) a true fact about its run that a later one
 may replace, so concurrent readers racing an insert at worst recompute.
 """
@@ -81,6 +95,7 @@ from __future__ import annotations
 
 import threading
 from math import inf
+from operator import attrgetter
 
 from .errors import BudgetExhausted, StructuralError
 from .presentation import ArtinPresentation
@@ -92,6 +107,35 @@ __all__ = ["Monoid", "MonoidElement"]
 
 _ATOMS = tuple(bytes([i]) for i in range(256))
 _MISS = object()
+_KEY = attrgetter("key")
+# the most entries one generation of a `_Memo` holds
+MEMO_CAP = 4096
+
+
+class _Memo:
+    """A memo bounded by two generations of at most MEMO_CAP entries each.
+
+    Read `young`, then `old` on a miss, and hand what `old` held, or what
+    was computed, to `put`.  The generations are plain dicts, so a hit is
+    one `dict.get`.  Values must be functions of their keys: a rotation
+    drops the old generation, which costs only a recomputation.
+    """
+
+    __slots__ = ("young", "old", "_lock")
+
+    def __init__(self):
+        self.young: dict = {}
+        self.old: dict = {}
+        self._lock = threading.Lock()
+
+    def put(self, key, value):
+        """Store value under key in the young generation, which first
+        becomes the old one if it is full; returns value."""
+        with self._lock:
+            if len(self.young) >= MEMO_CAP:
+                self.old, self.young = self.young, {}
+            self.young[key] = value
+        return value
 
 
 def congruence_class(word: bytes, rules: tuple[tuple[bytes, bytes], ...]) -> frozenset:
@@ -120,13 +164,15 @@ class MonoidElement:
 
     Only `Monoid.element` constructs elements, one per class, so equality
     is identity and hashing is by identity; `<` orders by (length, key).
+    `id` is the element's dense id in its Monoid, the identity's 0.
     """
 
-    __slots__ = ("monoid", "key")
+    __slots__ = ("monoid", "key", "id")
 
-    def __init__(self, monoid: "Monoid", key: bytes):
+    def __init__(self, monoid: "Monoid", key: bytes, id: int):
         self.monoid = monoid
         self.key = key  # canonical (lex-least) word, as generator indices
+        self.id = id
 
     @property
     def word(self) -> tuple[str, ...]:
@@ -173,6 +219,8 @@ class Monoid:
         self._quotients: list[dict[bytes, bytes | None]] = [{} for _ in range(n)]
         self._keys: dict[bytes, bytes] = {b"": b""}  # every word met -> its key
         self._elements: dict[bytes, MonoidElement] = {}  # key -> its one element
+        self._by_id: list[MonoidElement] = []  # id -> its element
+        self._lengths: list[int] = []  # id -> its element's word length
         self._build_lock = threading.Lock()
         # (side, x) -> (sorted divisors of x, {divisor: cofactor word})
         self._divisors: dict[tuple[str, MonoidElement], tuple[tuple, dict]] = {}
@@ -181,8 +229,10 @@ class Monoid:
         # trips under budget k and length cap p}
         self._complements: list[dict[bytes, tuple]] = [{} for _ in range(n)]
         # (side, x, y, budget, max_len) -> lcm_data's answer, or a budget trip's message
-        self._lcm_cache: dict[tuple, tuple | None | str] = {}
-        self.identity = self.element(b"")
+        self._lcm_cache = _Memo()
+        # lcm budget -> the reduction kernel's window memos, for even and odd positions
+        self._windows: dict[int, tuple[_Memo, _Memo]] = {}
+        self.identity = self.element(b"")  # the first element interned: id 0
 
     # -- quotients, keys and elements --------------------------------------
 
@@ -265,13 +315,27 @@ class Monoid:
         return el
 
     def _intern(self, key: bytes) -> MonoidElement:
-        """The element of a key not interned yet: the one place an element is built."""
+        """The element of a key not interned yet: the one place an element is
+        built, and given the next id."""
         with self._build_lock:
             el = self._elements.get(key)
             if el is None:
-                el = self._elements[key] = MonoidElement(self, key)
+                el = MonoidElement(self, key, len(self._by_id))
+                # fill the id tables before publishing the element, so that
+                # whoever finds it can look its id up
+                self._by_id.append(el)
+                self._lengths.append(len(key))
+                self._elements[key] = el
                 self._keys[key] = key
         return el
+
+    def _window_memos(self, lcm_budget: int) -> tuple[_Memo, _Memo]:
+        """The reduction kernel's window memos under this lcm budget, for
+        even and odd positions (multifraction._ReductionStates)."""
+        memos = self._windows.get(lcm_budget)
+        if memos is None:
+            memos = self._windows.setdefault(lcm_budget, (_Memo(), _Memo()))
+        return memos
 
     def canonical(self, word) -> bytes:
         return self.element(word).key
@@ -333,7 +397,10 @@ class Monoid:
                     if e not in cofactors:
                         cofactors[e] = q if left else q[::-1]
                         todo.append((e, q, on_key))
-            table = self._divisors[(side, x)] = (tuple(sorted(cofactors)), cofactors)
+            # canonical order is by (length, key): sort the keys, then stably by length
+            order = sorted(map(_KEY, cofactors))
+            order.sort(key=len)
+            table = self._divisors[(side, x)] = (tuple(map(elements.__getitem__, order)), cofactors)
         return table
 
     def divide(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
@@ -490,27 +557,31 @@ class Monoid:
         quotients, which share no code with reversing: unless
         key(x.c_x) = key(y.c_y), StructuralError.  `lcm` reuses that key.
 
-        Cached by every argument, budget and length cap included, so the
-        answer depends on the arguments alone.  A budget trip is cached as
-        its message, formatted once because searches re-raise it often.
+        Cached by every argument, budget and length cap included, in the
+        bounded `_lcm_cache`, so the answer depends on the arguments alone.
+        A budget trip is cached as its message, formatted once because
+        searches re-raise it often.
         """
         key = (side, x, y, budget, max_len)
-        try:
-            hit = self._lcm_cache[key]
-        except KeyError:  # a cached key was validated when it was stored
-            self._check(x, y)
-            if side not in ("right", "left"):
-                raise ValueError(f"side must be 'right' or 'left', got {side!r}") from None
-        else:
+        cache = self._lcm_cache
+        hit = cache.young.get(key, _MISS)
+        if hit is _MISS:
+            hit = cache.old.get(key, _MISS)
+            if hit is not _MISS:
+                cache.put(key, hit)
+        if hit is not _MISS:  # a cached key was validated when it was stored
             if isinstance(hit, str):
                 raise BudgetExhausted(hit, steps=budget)
             return hit
+        self._check(x, y)
+        if side not in ("right", "left"):
+            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         right = side == "right"
         # the left run of x y^-1 is the mirror of the right run of rev(x)^-1 rev(y), step for step
         run = self._complement(x.key if right else x.key[::-1], y.key if right else y.key[::-1],
                                budget, inf if max_len is None else max_len)
         if len(run) == 2:
-            message = self._lcm_cache[key] = f"{side}-lcm of {x} and {y} undetermined within budget"
+            message = cache.put(key, f"{side}-lcm of {x} and {y} undetermined within budget")
             raise BudgetExhausted(message, steps=budget)
         c_y, c_x, _, _, blocked = run
         data = None
@@ -521,5 +592,4 @@ class Monoid:
             if self._key(u) != self._key(v):
                 raise StructuralError(f"{side}-lcm complements of {x} and {y} close no common multiple")
             data = self.element(c_x), self.element(c_y)
-        self._lcm_cache[key] = data
-        return data
+        return cache.put(key, data)

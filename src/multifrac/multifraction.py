@@ -16,13 +16,14 @@ noetherian monoid it terminates, so the reachable set from any start is
 finite and breadth-first search decides whether the all-trivial
 multifraction is reachable -- which, when reduction is semi-convergent
 (e.g. FC type), decides the word problem.  The search runs on compact
-states (`_CompactStates`, shared with the split search): each element
-met gets a dense int id, the identity 0, and a state is the bytes of its
-entries' 4-byte ids.  A step at position i reads and writes only a_{i-1},
-a_i and a_{i+1}, so each window's children are computed once per search,
-keyed by i's parity and the window's ids, and a child is built by bytes
-slicing (`_ReductionStates`).  The id table and the window memo are
-dropped when the search returns.
+states (`_CompactStates`, shared with the split search): a state is the
+bytes of its entries' 4-byte ids, the dense ids their Monoid gives its
+elements (the identity 0).  A step at position i reads and writes only
+a_{i-1}, a_i and a_{i+1}, so a window's children are computed once per
+Monoid and lcm budget, keyed by i's parity and the window's ids, and a
+child is built by bytes slicing (`_ReductionStates`).  The window memos
+live on the Monoid, bounded like its lcm cache (`monoid._Memo`), so the
+many small searches of a long-lived Monoid share their rows.
 `_reduction_children` reads the same kernel for a single state;
 `Multifraction` objects are built only at the API boundary.
 
@@ -201,76 +202,71 @@ def apply_reduction(
 
 # a compact state holds one native unsigned int ("I", 4 bytes) per entry
 _pack2, _pack3 = Struct("2I").pack, Struct("3I").pack
-
-
-class _Ids(dict):
-    """element -> dense id, in order of first lookup, the identity 0;
-    `elems` maps each id back and `lengths` gives its word length."""
-
-    __slots__ = ("elems", "lengths")
-
-    def __init__(self, identity: MonoidElement):
-        super().__init__({identity: 0})
-        self.elems = [identity]
-        self.lengths = [0]
-
-    def __missing__(self, e: MonoidElement) -> int:
-        j = self[e] = len(self.elems)
-        self.elems.append(e)
-        self.lengths.append(len(e.key))
-        return j
+# a reduction window's memo value, row by row: the replacement, 8 bytes at i = 1
+_reps_at_1, _reps = Struct("8s").iter_unpack, Struct("12s").iter_unpack
+_UNSETTLED = b"\0"  # the value's trailing marker: an lcm ran out of budget
+_ID = attrgetter("id")
 
 
 class _CompactStates:
-    """One search's compact states and window memo.
+    """One search's compact states.
 
-    Each element met gets a dense int id, the identity 0, and a state is
-    the `bytes` of its entries' 4-byte ids, so a child is built, hashed and
-    compared as one bytes object.  A rule at position i reads and writes
-    only a few neighbouring entries, so its children depend only on i's
-    parity and that window's ids: `_memos[i % 2]` maps the window's bytes
-    to what the kernel computed for it, and only those misses read the
-    Monoid.  A subclass is one rewrite system's kernel: `_ReductionStates`
-    here, `split._SplitStates` for split reduction.  The table and the
-    memo live as long as the search that made them.
+    A state is the `bytes` of its entries' 4-byte ids, the dense ids their
+    Monoid gives its elements (the identity 0), so a child is built, hashed
+    and compared as one bytes object.  A rule at position i reads and
+    writes only a few neighbouring entries, so its children depend only on
+    i's parity and that window's ids: `_memos[i % 2]` maps the window's
+    bytes to what the kernel computed for it, and only those misses read
+    the Monoid.  A subclass is one rewrite system's kernel and brings its
+    memos: `_ReductionStates` here reads the Monoid's, shared by every
+    reduction search under the same lcm budget, and `split._SplitStates`
+    keeps its own for one search.
     """
 
-    __slots__ = ("monoid", "lcm_budget", "ids", "_memos")
+    __slots__ = ("monoid", "lcm_budget", "_memos")
 
-    def __init__(self, monoid: Monoid, lcm_budget: int):
+    def __init__(self, monoid: Monoid, lcm_budget: int, memos: tuple):
         self.monoid = monoid
         self.lcm_budget = lcm_budget
-        self.ids = _Ids(monoid.identity)
-        self._memos: tuple[dict, dict] = ({}, {})
+        self._memos = memos
 
     def encode(self, entries) -> bytes:
-        return array("I", map(self.ids.__getitem__, entries)).tobytes()
+        return array("I", map(_ID, entries)).tobytes()
 
     def decode(self, state: bytes) -> tuple:
-        return tuple(map(self.ids.elems.__getitem__, memoryview(state).cast("I")))
+        return tuple(map(self.monoid._by_id.__getitem__, memoryview(state).cast("I")))
 
     def wordlength(self, state: bytes) -> int:
-        return sum(map(self.ids.lengths.__getitem__, memoryview(state).cast("I")))
+        return sum(map(self.monoid._lengths.__getitem__, memoryview(state).cast("I")))
 
 
 class _ReductionStates(_CompactStates):
     """The reduction rule on compact states.
 
     A step at position i reads and writes only the window a_{i-1}, a_i,
-    a_{i+1} (a_1, a_2 when i = 1); the window's memo entry holds its
-    encoded (x, replacement) rows, ordered by x, and a flag that is False
-    when an lcm ran out of budget.  The 8-byte i = 1 windows cannot
-    collide with the 12-byte ones of odd i >= 3.
+    a_{i+1} (a_1, a_2 when i = 1).  The window's memo value is one `bytes`:
+    the 12-byte replacement of each row (8 bytes at i = 1), ordered by x,
+    then the marker `_UNSETTLED` when an lcm ran out of budget, which
+    leaves its length odd.  x itself is not stored: the new a_{i+1} is the
+    cofactor of x in a_{i+1}, which fixes x by cancellativity, so the
+    engine records a step as (i, replacement) and `step` recovers x for a
+    returned trace only.  The memos are the Monoid's for this lcm budget,
+    so every search on the Monoid shares their rows.  The 8-byte i = 1
+    windows cannot collide with the 12-byte ones of odd i >= 3.
     """
 
     __slots__ = ()
 
+    def __init__(self, monoid: Monoid, lcm_budget: int):
+        super().__init__(monoid, lcm_budget, monoid._window_memos(lcm_budget))
+
     def children(self, state: bytes) -> tuple[list, bool]:
-        """Every (0, (i, x), child state), ordered by (i, x), and False when
-        a candidate was skipped because its lcm ran out of budget; every
-        priority delta is 0, so the search is breadth-first."""
+        """Every (0, (i, replacement), child state), ordered by (i, x), and
+        False when a candidate was skipped because its lcm ran out of
+        budget; every priority delta is 0, so the search is breadth-first."""
         ids = memoryview(state).cast("I")
         memos, children, complete = self._memos, [], True
+        reps_of, reps_at_1 = _reps, _reps_at_1
         # a step at i needs a_{i+1} != 1, so the scan starts at the first nonzero entry
         for i in range(max(1, (len(state) - len(state.lstrip(b"\0"))) >> 2), len(ids)):
             if not ids[i]:
@@ -278,40 +274,67 @@ class _ReductionStates(_CompactStates):
             lo, hi = (4 * i - 8 if i > 1 else 0), 4 * i + 4
             window = state[lo:hi]
             memo = memos[i & 1]
-            hit = memo.get(window)
-            if hit is None:
-                hit = memo[window] = self._window(i, ids)
-            rows, settled = hit
-            complete = complete and settled
-            if rows:
-                head, tail = state[:lo], state[hi:]
-                children += [(0, (i, x), head + rep + tail) for x, rep in rows]
+            rows = memo.young.get(window)
+            if rows is None:  # promote the rows from the old generation, or compute them
+                rows = memo.old.get(window)
+                rows = memo.put(window, self._window(i, ids) if rows is None else rows)
+            if not rows:
+                continue
+            head, tail = state[:lo], state[hi:]
+            if len(rows) == hi - lo:  # one row, the commonest case, needs no unpacking
+                children.append((0, (i, rows), head + rows + tail))
+            else:
+                if len(rows) & 1:  # the marker: an lcm ran out of budget
+                    complete = False
+                    rows = rows[:-1]
+                unpack = reps_of if i > 1 else reps_at_1
+                children += [(0, (i, rep), head + rep + tail) for rep, in unpack(rows)]
         return children, complete
 
-    def _window(self, i: int, ids) -> tuple[list, bool]:
-        """The rule at position i of a state, on its window alone."""
-        m, element, id_of = self.monoid, self.monoid.element, self.ids
-        elems = id_of.elems
+    def _window(self, i: int, ids) -> bytes:
+        """The rule at position i of a state, on its window alone: its memo value."""
+        m, element = self.monoid, self.monoid.element
+        elems = m._by_id
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
         divs, cofactors = m._divisor_table(side, elems[ids[i]])  # divs[0] is 1
         if i == 1:
             first = m._divisor_table("right", elems[ids[0]])[1]
-            return [(x, _pack2(id_of[element(first[x])], id_of[element(cofactors[x])]))
-                    for x in divs[1:] if x in first], True
+            return b"".join([_pack2(element(first[x]).id, element(cofactors[x]).id)
+                             for x in divs[1:] if x in first])
         prev, cur = elems[ids[i - 2]], elems[ids[i - 1]]
+        lcm_data, budget, left = m.lcm_data, self.lcm_budget, side == "left"
         rows, settled = [], True
         for x in divs[1:]:
             try:
-                data = m.lcm_data(lcm_side, x, cur, self.lcm_budget, DEFAULT_LCM_MAX_LEN)
+                data = lcm_data(lcm_side, x, cur, budget, DEFAULT_LCM_MAX_LEN)
             except BudgetExhausted:
                 settled = False
                 continue
             if data is not None:
                 # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
                 comp_x, comp_a = data
-                new_prev = element(prev.key + comp_a.key if side == "left" else comp_a.key + prev.key)
-                rows.append((x, _pack3(id_of[new_prev], id_of[comp_x], id_of[element(cofactors[x])])))
-        return rows, settled
+                new_prev = element(prev.key + comp_a.key if left else comp_a.key + prev.key)
+                rows.append(_pack3(new_prev.id, comp_x.id, element(cofactors[x]).id))
+        if not settled:
+            rows.append(_UNSETTLED)
+        return b"".join(rows)
+
+    def step(self, state: bytes, i: int, rep: bytes) -> ReductionStep:
+        """The ReductionStep that the kernel's (i, rep) is on `state`: x is
+        the divisor of a_{i+1} whose cofactor is rep's last entry."""
+        elems = self.monoid._by_id
+        entry, quot = elems[memoryview(state).cast("I")[i]], elems[memoryview(rep).cast("I")[-1]]
+        # even i: a_{i+1} = x * quot; odd i: a_{i+1} = quot * x
+        return ReductionStep(i, self.monoid.divide("right" if i % 2 == 0 else "left", quot, entry))
+
+    def steps(self, start: bytes, trace) -> tuple:
+        """The ReductionSteps of the kernel's steps from `start`, replayed state by state."""
+        out = []
+        for i, rep in trace:
+            out.append(self.step(start, i, rep))
+            hi = 4 * i + 4  # the window ends after a_{i+1} and is as long as rep
+            start = start[:hi - len(rep)] + rep + start[hi:]
+        return tuple(out)
 
 
 def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[list, bool]:
@@ -322,8 +345,9 @@ def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[lis
     was skipped because its lcm ran out of budget.
     """
     states = _ReductionStates(m, lcm_budget)
-    children, complete = states.children(states.encode(entries))
-    return [(ReductionStep(i, x), states.decode(child)) for _, (i, x), child in children], complete
+    state = states.encode(entries)
+    children, complete = states.children(state)
+    return [(states.step(state, i, rep), states.decode(child)) for _, (i, rep), child in children], complete
 
 
 def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:
@@ -410,10 +434,10 @@ def search_reduction(
     (0 = the all-trivial target); the BFS order plus the deterministic
     child ordering make the returned trace the canonical shortest one.
     The search runs on `_ReductionStates`: each state is the bytes of its
-    entries' ids, each window's rows are computed once, and the id table
-    and the window memo are dropped when the search returns.  The engine
-    records each step as (i, x); `ReductionStep`s are built only for the
-    returned trace.
+    entries' ids, and each window's rows are read from the Monoid's window
+    memos, which outlive the search.  The engine records each step as
+    (i, replacement); `ReductionStep`s are built only for the returned
+    trace, by replaying it.
     """
     states = _ReductionStates(a.monoid, lcm_budget)
     start = states.encode(a.entries)
@@ -424,7 +448,7 @@ def search_reduction(
             return states.wordlength(state) <= target_wordlength
     res = _search(start, states.children, is_target, state_budget)
     if res.trace:
-        res = replace(res, trace=tuple(ReductionStep(i, x) for i, x in res.trace))
+        res = replace(res, trace=states.steps(start, res.trace))
     return res
 
 

@@ -14,13 +14,15 @@ all-threes presentation), so searches here are always budget-bound and
 only a positive answer is definitive.
 
 The search runs on the compact states the reduction search uses
-(`multifraction._CompactStates`): each element met gets a dense int id,
-the identity 0, and a state is the bytes of its entries' 4-byte ids.  A
-split at i reads only a_i and a_{i+1}, and a trim at i only a_i, a_{i+1}
-and a_{i+2}, so each window's children are computed once per search,
-keyed by i's parity and the window's ids, from the divisor tables and
-`Monoid.lcm_data`; a child is built by bytes slicing (`_SplitStates`).
-The id table and the window memo are dropped when the search returns.
+(`multifraction._CompactStates`): a state is the bytes of its entries'
+4-byte ids, the dense ids their Monoid gives its elements (the identity
+0).  A split at i reads only a_i and a_{i+1}, and a trim at i only a_i,
+a_{i+1} and a_{i+2}, so each window's children are computed once per
+search, keyed by i's parity and the window's ids, from the divisor tables
+and `Monoid.lcm_data`; a child is built by bytes slicing (`_SplitStates`).
+Unlike the reduction kernel's, the window memo belongs to one search and
+is dropped when it returns, because its split rows carry the search's
+priority `scale`.
 `_split_children` reads the same kernel for a single state;
 `Multifraction` objects and steps are built only at the API boundary.
 
@@ -137,7 +139,8 @@ class _SplitStates(_CompactStates):
     4-byte id, and a split's, keyed by its 8-byte window, holds its encoded
     (x, y, replacement, delta) rows, ordered by (y, x), and a flag that is
     False when an lcm ran out of budget.  The two window lengths cannot
-    collide in the memo of a parity.
+    collide in the memo of a parity.  The memos belong to this search,
+    because each split row's delta carries its `scale`.
 
     A state's priority is wordlength * scale + depth, which orders states
     by (word-length, depth): no state is deeper than the start or the
@@ -151,7 +154,7 @@ class _SplitStates(_CompactStates):
     __slots__ = ("cap", "scale")
 
     def __init__(self, monoid: Monoid, max_depth: int, start_depth: int):
-        super().__init__(monoid, DEFAULT_LCM_BUDGET)
+        super().__init__(monoid, DEFAULT_LCM_BUDGET, ({}, {}))
         self.cap = 4 * max_depth  # in bytes
         self.scale = max(start_depth, max_depth) + 1
 
@@ -208,14 +211,14 @@ class _SplitStates(_CompactStates):
 
     def _trim(self, i: int, ids) -> bytes:
         """The trim at position i of a state, on its window alone."""
-        elems = self.ids.elems
+        elems = self.monoid._by_id
         a, c = elems[ids[i - 1]].key, elems[ids[i + 1]].key
-        return _pack1(self.ids[self.monoid.element(a + c if i % 2 == 1 else c + a)])
+        return _pack1(self.monoid.element(a + c if i % 2 == 1 else c + a).id)
 
     def _split(self, i: int, ids) -> tuple[list, bool]:
         """The splits at position i of a state, on their window alone."""
-        m, element, id_of, scale = self.monoid, self.monoid.element, self.ids, self.scale
-        one, a_i, a_next = m.identity, id_of.elems[ids[i - 1]], id_of.elems[ids[i]]
+        m, element, scale = self.monoid, self.monoid.element, self.scale
+        one, a_i, a_next = m.identity, m._by_id[ids[i - 1]], m._by_id[ids[i]]
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
         ys, y_cofactors = m._divisor_table(side, a_i)  # ys[0] is 1
         xs, x_cofactors = m._divisor_table(side, a_next)  # xs[0] is 1
@@ -233,7 +236,7 @@ class _SplitStates(_CompactStates):
                     comp_x, comp_y = data
                     b_last = a_next if x is one else element(x_cofactors[x])
                     growth = len(comp_x.key) + len(comp_y.key) - len(x.key) - y_len
-                    rows.append((x, y, _pack4(id_of[b_i], id_of[comp_y], id_of[comp_x], id_of[b_last]),
+                    rows.append((x, y, _pack4(b_i.id, comp_y.id, comp_x.id, b_last.id),
                                  growth * scale + 2))
         return rows, settled
 

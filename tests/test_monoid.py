@@ -554,6 +554,10 @@ def test_threads_sharing_a_monoid_intern_one_element_per_class():
     for w in words:
         el = m.element(w)
         assert all(s[w] is el for s in seen)
+    # and one dense id per element, the identity's 0
+    elements = m._elements.values()
+    assert sorted(e.id for e in elements) == list(range(len(elements)))
+    assert m.identity.id == 0 and all(m._by_id[e.id] is e for e in elements)
 
 
 # -- the quotient, key and divisor kernels against the rewriting closure -----
@@ -631,6 +635,26 @@ def test_no_operation_enumerates_a_class(monkeypatch):
     fp = d.normal_form("left", "aB")
     assert str(fp) == "(ab)^-1(ba)"
     assert d.first_letter(fp, "num") == "a" and d.last_letter(fp, "num") == "b"
+
+
+@pytest.mark.parametrize(
+    "pres, length",
+    [(braid_pair(3), 6), (A3, 5), (all_threes(), 4), (TWO_FREE_PAIRS, 4)],
+    ids=["I2(3)", "A3", "A2~", "two free pairs"],
+)
+def test_divisor_tables_list_divisors_in_element_order(pres, length):
+    # the tables sort keys without MonoidElement.__lt__; their order must stay the
+    # one < gives, by (length, key), on every word of this length and on A3's Delta^2
+    m = Monoid(pres)
+    n = len(pres.generators)
+    xs = [m.element(bytes(t)) for t in product(range(n), repeat=length)]
+    if pres is A3:
+        xs.append(m.element("abacba" * 2))
+    for x in xs:
+        for side in ("left", "right"):
+            divs = m.divisors(side, x)
+            assert list(divs) == sorted(divs)
+            assert [d.key for d in divs] == sorted((d.key for d in divs), key=lambda k: (len(k), k))
 
 
 def test_a4_delta_squared_and_its_divisor_tables():

@@ -1,0 +1,141 @@
+"""Searches that share one Monoid's element ids, window memos and lcm cache.
+
+Every search on a Monoid encodes its states with the Monoid's element ids,
+and every reduction search reads and fills the Monoid's window memos (one
+per parity and lcm budget) and its lcm cache, which are bounded by two
+generations of at most `monoid.MEMO_CAP` entries each.  What one search
+leaves behind must never change another's result: in any order, past the
+cap, where the memos rotate all the time, and from several threads.
+"""
+
+import random
+import sys
+import threading
+from itertools import product
+
+import pytest
+
+from multifrac import ArtinPresentation, Monoid, Multifraction, search_reduction, split_reduces_to_trivial
+from multifrac import monoid as monoid_module
+from multifrac.split import SplitStep, TrimStep
+
+from oracles import all_threes, braid_pair, signed_words_up_to
+
+A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
+# the presentations and word lengths of the compact-search differential test
+# (test_multifraction.test_compact_search_matches_tuple_search)
+PRESENTATIONS = {"I2(3)": (braid_pair(3), 4), "I2(4)": (braid_pair(4), 4), "A3": (A3, 3),
+                 "A2~": (all_threes(), 3)}
+
+
+def _cases(pres, max_len: int) -> list:
+    """A reduction search of every word up to max_len at paddings 0-2 under
+    lcm budgets 1, 10 and 1000, and a 20-state split search of each word
+    at paddings 0-1, which shares the lcm cache but keeps its own windows."""
+    cases = []
+    for w in signed_words_up_to(pres, max_len):
+        cases += [("reduction", w, p, budget) for p in (0, 1, 2) for budget in (1, 10, 1000)]
+        cases += [("split", w, p, 20) for p in (0, 1)]
+    return cases
+
+
+def _search(mon: Monoid, case):
+    search, word, pad, budget = case
+    a = Multifraction.from_signed_word(mon, word).pad(pad)
+    if search == "reduction":
+        return search_reduction(a, lcm_budget=budget)
+    return split_reduces_to_trivial(a, state_budget=budget)
+
+
+def _pinned(res) -> tuple:
+    return (res.found, res.complete, res.states, res.steps, res.reason,
+            tuple(step.json_obj() for step in res.trace))
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_a_shared_monoid_gives_what_fresh_monoids_give(name):
+    pres, max_len = PRESENTATIONS[name]
+    cases = _cases(pres, max_len)
+    random.Random(name).shuffle(cases)
+    shared = Monoid(pres)
+    for case in cases:
+        assert _pinned(_search(shared, case)) == _pinned(_search(Monoid(pres), case)), case
+
+
+def _elements_of(step) -> tuple:
+    if isinstance(step, TrimStep):
+        return ()
+    return (step.x, step.y) if isinstance(step, SplitStep) else (step.x,)
+
+
+def test_memos_past_a_tiny_cap_keep_elements_and_answers(monkeypatch):
+    presentations = {"I2(3)": (braid_pair(3), 3), "A3": (A3, 2)}
+    cases = [(name, case) for name, (pres, max_len) in presentations.items()
+             for case in _cases(pres, max_len)]
+    # the answers under the default cap, each on a fresh Monoid
+    want = {(name, case): _pinned(_search(Monoid(presentations[name][0]), case)) for name, case in cases}
+
+    cap, rotations = 4, [0]
+    put = monoid_module._Memo.put
+
+    def checked_put(memo, key, value):
+        rotations[0] += len(memo.young) >= cap
+        out = put(memo, key, value)
+        assert len(memo.young) <= cap and len(memo.old) <= cap
+        return out
+
+    monkeypatch.setattr(monoid_module, "MEMO_CAP", cap)
+    monkeypatch.setattr(monoid_module._Memo, "put", checked_put)
+    monoids = {name: Monoid(pres) for name, (pres, _) in presentations.items()}
+    # every positive word up to length 4, interned before any search
+    interned = {}
+    for mon in monoids.values():
+        n = len(mon.presentation.generators)
+        for t in (t for k in range(5) for t in product(range(n), repeat=k)):
+            e = mon.element(bytes(t))
+            interned[mon, bytes(t)] = (e, e.id)
+    first = {}
+    for round_ in range(2):
+        for name, case in cases:
+            res = _search(monoids[name], case)
+            assert _pinned(res) == want[name, case], (round_, name, case)
+            # a trace's elements are the very objects the first round returned
+            steps = [e for step in res.trace for e in _elements_of(step)]
+            assert all(a is b for a, b in zip(first.setdefault((name, case), steps), steps))
+    assert rotations[0] > 0
+    for (mon, word), (e, i) in interned.items():
+        assert mon.element(word) is e and e.id == i and mon._by_id[i] is e
+
+
+def test_threads_sharing_a_monoid_get_the_sequential_results(monkeypatch):
+    cases = _cases(A3, 2)
+    sequential = Monoid(A3)
+    want = {case: _pinned(_search(sequential, case)) for case in cases}
+    # a cap small enough that the threads rotate the memos under one another
+    monkeypatch.setattr(monoid_module, "MEMO_CAP", 16)
+    shared = Monoid(A3)
+    got: list[dict] = [{} for _ in range(4)]
+
+    def search_all(k: int):
+        order = cases * 2  # each case twice, the second time after rotations
+        random.Random(k).shuffle(order)
+        for case in order:
+            res = _pinned(_search(shared, case))
+            assert got[k].setdefault(case, res) == res
+
+    threads = [threading.Thread(target=search_all, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g == want for g in got)
+    # one dense id per element
+    elements = shared._by_id
+    assert sorted(e.id for e in shared._elements.values()) == list(range(len(elements)))
+    assert all(elements[e.id] is e for e in shared._elements.values())
