@@ -34,8 +34,8 @@ cancellativity.
 `lcm_data` returns the two complements of an lcm exactly as the leftmost
 `reverse_full` run of x^-1 y (right) or x y^-1 (left) decides them: its
 split terminal, None when it blocks on a free pair, or BudgetExhausted
-when it passes the step budget or the length cap, never "no lcm".  The
-kernel `_complement` takes that run's steps in its order on bytes:
+when it passes the step budget, never "no lcm".  The kernel `_complement`
+takes that run's steps in its order on bytes:
 
 * The leftmost run of x^-1 y reverses x^-1 y1 completely, then the x-side
   of that result against y2, and so on: it folds y's letters through x,
@@ -49,23 +49,23 @@ kernel `_complement` takes that run's steps in its order on bytes:
   Sub-runs keep that order inside, so every cell comes when the leftmost
   run takes it.  The left run of x y^-1 is the mirror of the right run of
   rev(x)^-1 rev(y), step for step.
-* The cap trips on the longest word after any step.  A sub-run's frame
-  knows the letters that stay put around it (its finished pieces s', its
-  letters still to fold, and v), so the sub-run gets the room the cap
-  leaves it and aborts when it passes its room or its share of the budget.
+* The budget is the run's one limit.  Each sub-run gets what its frame
+  has left of it and aborts when it needs more.  A step replaces two
+  letters by at most 2(m-1), so a run of B steps on x^-1 y never holds
+  more than |x| + |y| + (2m-4)B letters, m the largest finite label.
 * A blocked sub-run still ends in a negative run, which the fold goes on
   with as the leftmost run does; its result is flagged, and the flag makes
   the lcm None.
 
 Some runs never end (with all three labels 3, ab and c have no common
 multiple); the budget stops them.  Sub-runs are memoised per Monoid by
-(t, c): a finished one by its result, an aborted one by (k, p), the fact
-that it trips under budget k and cap p, which each frame lifts by its own
-steps and offset.  That the complements close a common multiple is checked
-by comparing the keys of the two products, and `lcm` interns the product
+(t, c): a finished one by its result, an aborted one by the int k, the
+fact that it trips under budget k, which each frame lifts by its own
+steps.  That the complements close a common multiple is checked by
+comparing the keys of the two products, and `lcm` interns the product
 through that key.  The lcm cache is keyed by every argument of `lcm_data`
-(side, both elements, step budget and length cap), so no answer depends on
-what the Monoid settled before.
+(side, both elements and step budget), so no answer depends on what the
+Monoid settled before.
 
 `congruence_class` enumerates a class by rewriting.  The package never
 calls it; it stays as the tests' oracle for the kernels above.
@@ -94,7 +94,6 @@ may replace, so concurrent readers racing an insert at worst recompute.
 from __future__ import annotations
 
 import threading
-from math import inf
 from operator import attrgetter
 
 from .errors import BudgetExhausted, StructuralError
@@ -220,15 +219,14 @@ class Monoid:
         self._keys: dict[bytes, bytes] = {b"": b""}  # every word met -> its key
         self._elements: dict[bytes, MonoidElement] = {}  # key -> its one element
         self._by_id: list[MonoidElement] = []  # id -> its element
-        self._lengths: list[int] = []  # id -> its element's word length
         self._build_lock = threading.Lock()
         # (side, x) -> (sorted divisors of x, {divisor: cofactor word})
         self._divisors: dict[tuple[str, MonoidElement], tuple[tuple, dict]] = {}
         # _complements[t] = {word c: the leftmost right reversing run of c^-1 t, as
-        # `_complement` returns it: (c', t', steps, longest, blocked), or (k, p) when the run
-        # trips under budget k and length cap p}
-        self._complements: list[dict[bytes, tuple]] = [{} for _ in range(n)]
-        # (side, x, y, budget, max_len) -> lcm_data's answer, or a budget trip's message
+        # `_complement` returns it: (c', t', steps, blocked), or the int k when the run
+        # trips under budget k}
+        self._complements: list[dict[bytes, tuple | int]] = [{} for _ in range(n)]
+        # (side, x, y, budget) -> lcm_data's answer, or a budget trip's message
         self._lcm_cache = _Memo()
         # lcm budget -> the reduction kernel's window memos, for even and odd positions
         self._windows: dict[int, tuple[_Memo, _Memo]] = {}
@@ -321,10 +319,9 @@ class Monoid:
             el = self._elements.get(key)
             if el is None:
                 el = MonoidElement(self, key, len(self._by_id))
-                # fill the id tables before publishing the element, so that
+                # fill the id table before publishing the element, so that
                 # whoever finds it can look its id up
                 self._by_id.append(el)
-                self._lengths.append(len(key))
                 self._elements[key] = el
                 self._keys[key] = key
         return el
@@ -438,87 +435,74 @@ class Monoid:
 
     # -- lcms and complements via reversing -------------------------------
 
-    def _complement(self, w: bytes, y: bytes, left: int, room: float) -> tuple:
+    def _complement(self, w: bytes, y: bytes, left: int) -> tuple | int:
         """The leftmost right reversing run of w^-1 y, for positive words w and y.
 
-        Returns (w', s', steps, longest, blocked): the run ends in s' w'^-1
-        after `steps` steps, and `longest` is the longest word after any
-        step (0 with no step).  Unless blocked, w.s' = y.w'.  A blocked run
-        met a free pair and ends in P w'^-1 with P not positive; s' is P
-        with its signs dropped.  Returns (k, p) instead when the run needs
-        more than `left` steps or a word longer than `room`: the fact that
-        it trips under budget k and cap p, with k >= left and p >= room.
+        Returns (w', s', steps, blocked): the run ends in s' w'^-1 after
+        `steps` steps.  Unless blocked, w.s' = y.w'.  A blocked run met a
+        free pair and ends in P w'^-1 with P not positive; s' is P with its
+        signs dropped.  Returns the int k instead when the run needs more
+        than `left` steps: the fact that it trips under budget k, k >= left.
 
         Folds y's letters through w in the leftmost run's cell order (see
         the module docstring).  A frame stands for one sub-run c^-1 t whose
-        first cell gave u v^-1; it folds u's letters through c[1:].  Each
-        sub-run gets what its frame has left of `left`, and `room` less the
-        frame's offset: its finished pieces s', its letters still to fold
-        and v.  Memoised per Monoid by (t, c): a finished sub-run by its
-        result, an aborted one by its (k, p), which each frame lifts by its
-        steps and offset before it stores its own.  Runs on an explicit
-        stack; on a presentation where a run never ends, `left` stops it.
+        first cell gave u v^-1; it folds u's letters through c[1:], and each
+        sub-run gets what its frame has left of `left`.  Memoised per Monoid
+        by (t, c): a finished sub-run by its result, an aborted one by its
+        k, which each frame lifts by its own steps before it stores its own.
+        Runs on an explicit stack; on a presentation where a run never ends,
+        `left` stops it.
         """
         if not y:
-            return w, b"", 0, 0, False
+            return w, b"", 0, False
         memo, heads = self._complements, self._heads
         # the frame being folded: its memo key (atom, word; none for the top frame), its
-        # letters to fold and their number, how many are folded, v, c, s', steps, longest,
-        # blocked, left, room, and the offset: the letters that stay put around its sub-run
+        # letters to fold and their number, how many are folded, v, c, s', steps, blocked, left
         fa = fw = None
-        letters, n, taken, v, c, acc, steps, longest, blocked = y, len(y), 0, b"", w, b"", 0, 0, False
-        fleft, froom, off = left, room, len(y) - 1
+        letters, n, taken, v, c, acc, steps, blocked = y, len(y), 0, b"", w, b"", 0, False
         frames = []  # the frames waiting on a sub-run, as tuples of the fields above
         r = None  # what the last sub-run gave, not yet handed to the frame
         while True:
             if r is None:  # the sub-run c^-1 t for the frame's next letter t
                 a = letters[taken]
                 r = memo[a].get(c)
-                if r is None or len(r) == 2 and (fleft - steps > r[0] or froom - off > r[1]):
+                if r is None or r.__class__ is int and left - steps > r:
                     t = c[0] if c else a
                     u = heads[t][a]
-                    # a sub-run with no step has no length to record: its longest is -inf
                     if not c:
-                        r = (b"", letters[taken:], 0, -inf, False)  # the letters left pass through
+                        r = (b"", letters[taken:], 0, False)  # the letters left pass through
                         taken = n - 1
                     elif t == a:
-                        r = (c[1:], b"", 1, len(c) - 1, False)  # a deletion
+                        r = (c[1:], b"", 1, False)  # a deletion
                     elif u is None:
-                        r = (b"", c[::-1] + _ATOMS[a], 0, -inf, True)  # a free pair: blocked in place
-                    elif steps >= fleft:
-                        r = (0, inf)
-                    elif len(c) - 1 + 2 * len(u) > froom - off:
-                        r = (inf, len(c) - 2 + 2 * len(u))
+                        r = (b"", c[::-1] + _ATOMS[a], 0, True)  # a free pair: blocked in place
+                    elif steps >= left:
+                        r = 0
                     else:  # c[0]^-1 t -> u v^-1: fold u's letters through c[1:]
-                        frames.append((fa, fw, letters, n, taken, v, c, acc, steps, longest, blocked,
-                                       fleft, froom, off))
-                        fa, fw, letters, n, taken, v, c, acc, steps, longest, blocked, fleft, froom, off = (
-                            a, c, u, len(u), 0, heads[a][t], c[1:], b"", 1, len(c) - 1 + 2 * len(u),
-                            False, fleft - steps, froom - off, 2 * len(u) - 1)
+                        frames.append((fa, fw, letters, n, taken, v, c, acc, steps, blocked, left))
+                        fa, fw, letters, n, taken, v, c, acc, steps, blocked, left = (
+                            a, c, u, len(u), 0, heads[a][t], c[1:], b"", 1, False, left - steps)
                         r = None
                         continue
-            if len(r) == 5:
-                c, s, k, top, b = r
-                if k and (k > fleft - steps or top > froom - off):  # past the frame's limits
-                    r = (k - 1, inf) if k > fleft - steps else (inf, top - 1)
-            if len(r) == 5:
-                acc += s
-                steps += k
-                taken += 1
-                blocked = blocked or b
-                if off + top > longest:
-                    longest = off + top
-                if taken < n:
-                    off += len(s) - 1
-                    r = None
-                    continue
-                r = (v + c, acc, steps, longest, blocked)
-            else:
-                r = (steps + r[0], off + r[1])  # the sub-run trips, so the frame trips too
+            if r.__class__ is tuple:
+                c, s, k, b = r
+                if k and k > left - steps:  # past the frame's budget
+                    r = k - 1
+                else:
+                    acc += s
+                    steps += k
+                    taken += 1
+                    blocked = blocked or b
+                    if taken < n:
+                        r = None
+                        continue
+                    r = (v + c, acc, steps, blocked)
+            if r.__class__ is int:
+                r += steps  # the sub-run trips, so the frame trips too
             if not frames:
                 return r
             memo[fa][fw] = r
-            fa, fw, letters, n, taken, v, c, acc, steps, longest, blocked, fleft, froom, off = frames.pop()
+            fa, fw, letters, n, taken, v, c, acc, steps, blocked, left = frames.pop()
 
     def lcm(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
         """Right-lcm x v y (side="right") or left-lcm (side="left").
@@ -538,7 +522,6 @@ class Monoid:
         x: MonoidElement,
         y: MonoidElement,
         budget: int = DEFAULT_STEP_BUDGET,
-        max_len: int | None = None,
     ):
         """(complement-of-x, complement-of-y) or None, cached.
 
@@ -546,10 +529,10 @@ class Monoid:
         side="left":  c_x*x = c_y*y = the left-lcm  (c_x = y/x, c_y = x/y).
 
         The answer is that of the leftmost `reverse_full` run of x^-1 y
-        (right) or x y^-1 (left) with this budget and length cap: its
-        terminal split by `split_terminal`, None when it blocks on a free
-        pair, or a BudgetExhausted "{side}-lcm of {x} and {y} undetermined
-        within budget" with steps=budget when it passes either limit.
+        (right) or x y^-1 (left) with this step budget: its terminal split
+        by `split_terminal`, None when it blocks on a free pair, or a
+        BudgetExhausted "{side}-lcm of {x} and {y} undetermined within
+        budget" with steps=budget when it needs more steps.
         `_complement` takes that run's steps on bytes, the left side on
         mirrored words; no run on signed words is started.
 
@@ -557,12 +540,12 @@ class Monoid:
         quotients, which share no code with reversing: unless
         key(x.c_x) = key(y.c_y), StructuralError.  `lcm` reuses that key.
 
-        Cached by every argument, budget and length cap included, in the
-        bounded `_lcm_cache`, so the answer depends on the arguments alone.
+        Cached by every argument, the budget included, in the bounded
+        `_lcm_cache`, so the answer depends on the arguments alone.
         A budget trip is cached as its message, formatted once because
         searches re-raise it often.
         """
-        key = (side, x, y, budget, max_len)
+        key = (side, x, y, budget)
         cache = self._lcm_cache
         hit = cache.young.get(key, _MISS)
         if hit is _MISS:
@@ -578,12 +561,11 @@ class Monoid:
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         right = side == "right"
         # the left run of x y^-1 is the mirror of the right run of rev(x)^-1 rev(y), step for step
-        run = self._complement(x.key if right else x.key[::-1], y.key if right else y.key[::-1],
-                               budget, inf if max_len is None else max_len)
-        if len(run) == 2:
+        run = self._complement(x.key if right else x.key[::-1], y.key if right else y.key[::-1], budget)
+        if run.__class__ is int:
             message = cache.put(key, f"{side}-lcm of {x} and {y} undetermined within budget")
             raise BudgetExhausted(message, steps=budget)
-        c_y, c_x, _, _, blocked = run
+        c_y, c_x, _, blocked = run
         data = None
         if not blocked:
             if not right:

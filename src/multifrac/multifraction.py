@@ -55,7 +55,6 @@ __all__ = [
     "reduces_to_trivial",
     "DEFAULT_STATE_BUDGET",
     "DEFAULT_LCM_BUDGET",
-    "DEFAULT_LCM_MAX_LEN",
 ]
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -63,7 +62,6 @@ DEFAULT_STATE_BUDGET = 10**6
 # that does not settle this fast at desk scale is treated as undetermined
 # and the search downgrades its completeness claim instead of stalling.
 DEFAULT_LCM_BUDGET = 1_000
-DEFAULT_LCM_MAX_LEN = 512
 
 
 class Multifraction:
@@ -191,7 +189,7 @@ def apply_reduction(
         return None if b1 is None or b2 is None else Multifraction._of(m, (b1, b2) + e[2:])
     side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
     quot = m.divide(side, x, e[i])
-    data = None if quot is None else m.lcm_data(lcm_side, x, e[i - 1], lcm_budget, DEFAULT_LCM_MAX_LEN)
+    data = None if quot is None else m.lcm_data(lcm_side, x, e[i - 1], lcm_budget)
     if data is None:
         return None
     # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
@@ -237,7 +235,8 @@ class _CompactStates:
         return tuple(map(self.monoid._by_id.__getitem__, memoryview(state).cast("I")))
 
     def wordlength(self, state: bytes) -> int:
-        return sum(map(self.monoid._lengths.__getitem__, memoryview(state).cast("I")))
+        elems = self.monoid._by_id
+        return sum([len(elems[i].key) for i in memoryview(state).cast("I")])
 
 
 class _ReductionStates(_CompactStates):
@@ -306,7 +305,7 @@ class _ReductionStates(_CompactStates):
         rows, settled = [], True
         for x in divs[1:]:
             try:
-                data = lcm_data(lcm_side, x, cur, budget, DEFAULT_LCM_MAX_LEN)
+                data = lcm_data(lcm_side, x, cur, budget)
             except BudgetExhausted:
                 settled = False
                 continue

@@ -133,11 +133,7 @@ class ArtinPresentation:
         """Positive word (string over 1-char generators, or iterable of tokens) -> bytes."""
         if isinstance(word, bytes):
             return word
-        if isinstance(word, str):
-            tokens = list(word)
-        else:
-            tokens = list(word)
-        return bytes(self.index(tok) for tok in tokens)
+        return bytes(self.index(tok) for tok in word)
 
     def decode(self, key: bytes) -> tuple[str, ...]:
         return tuple(self.generators[b] for b in key)

@@ -10,7 +10,9 @@ with v s = u t a relation.
 Termination is not guaranteed for arbitrary Artin-Tits presentations (a
 pair without a common multiple over a diagram with no infinite label makes
 right reversing run forever), so the full-reversing loop carries a step
-budget and a word-length cap and raises BudgetExhausted when either trips.
+budget and raises BudgetExhausted when it trips.  A step replaces two
+letters by at most 2(m-1), so B steps bound the word at its length plus
+(2m-4)B letters, m the largest finite label.
 """
 
 from __future__ import annotations
@@ -126,13 +128,12 @@ def reverse_full(
     side: str,
     word: SignedWord,
     budget: int = DEFAULT_STEP_BUDGET,
-    max_len: int | None = None,
 ) -> ReversalResult:
     """Reverse at the leftmost applicable position until none applies.
 
     Deterministic (fixed strategy, so traces are reproducible).  Raises
-    BudgetExhausted after `budget` steps or when the word outgrows
-    `max_len`; that outcome is undetermined, distinct from "blocked".
+    BudgetExhausted when a step would pass `budget`; that outcome is
+    undetermined, distinct from "blocked".
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -157,12 +158,6 @@ def reverse_full(
         done.pop()
         todo += rep[::-1]
         steps += 1
-        if max_len is not None and len(done) + len(todo) > max_len:
-            raise BudgetExhausted(
-                f"{side} reversing exceeded the word-length cap {max_len}",
-                steps=steps,
-                word_length=len(done) + len(todo),
-            )
     return ReversalResult(tuple(done), steps)
 
 

@@ -42,7 +42,6 @@ from .errors import BudgetExhausted
 from .monoid import Monoid, MonoidElement
 from .multifraction import (
     DEFAULT_LCM_BUDGET,
-    DEFAULT_LCM_MAX_LEN,
     Multifraction,
     ReductionStep,
     SearchResult,
@@ -102,7 +101,7 @@ def apply_split(a: Multifraction, step: SplitStep) -> Multifraction | None:
     b_i, b_last = m.divide(side, y, e[i - 1]), m.divide(side, x, e[i])
     if b_i is None or b_last is None:
         return None
-    data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET, DEFAULT_LCM_MAX_LEN)
+    data = m.lcm_data(lcm_side, x, y, DEFAULT_LCM_BUDGET)
     if data is None:
         return None
     comp_x, comp_y = data
@@ -228,7 +227,7 @@ class _SplitStates(_CompactStates):
             y_len = len(y.key)
             for x in xs[1:] if y is one else xs:
                 try:
-                    data = m.lcm_data(lcm_side, x, y, self.lcm_budget, DEFAULT_LCM_MAX_LEN)
+                    data = m.lcm_data(lcm_side, x, y, self.lcm_budget)
                 except BudgetExhausted:
                     settled = False
                     continue

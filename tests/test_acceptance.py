@@ -128,7 +128,7 @@ def test_criterion_02_reversing_lcm_vs_brute_force():
                         else:
                             ox, oy = rev[x.key], rev[y.key]
                         try:
-                            data = mon.lcm_data(side, x, y, budget=500, max_len=512)
+                            data = mon.lcm_data(side, x, y, budget=500)
                         except BudgetExhausted:
                             assert oracle.min_common_multiple(ox, oy) is None
                             continue

@@ -6,11 +6,12 @@ from itertools import product
 
 import pytest
 
-from multifrac import ArtinPresentation, BudgetExhausted, Monoid, StructuralError, kernel_backend
+from multifrac import (ArtinPresentation, BudgetExhausted, Monoid, Multifraction, StructuralError,
+                       kernel_backend, search_reduction)
 from multifrac import monoid as monoid_module
 from multifrac import reversing
 from multifrac.monoid import MonoidElement, congruence_class
-from multifrac.words import signed_of_positive
+from multifrac.words import parse_signed, signed_of_positive
 
 from oracles import MultipleSets, WordClasses, all_threes, braid_pair, rewrite_rules
 from reference import PositiveMonoid
@@ -221,10 +222,10 @@ def test_lcm_budget_exhaustion_distinct_from_absent():
     mon = Monoid(all_threes())
     x, y = mon.element("ab"), mon.element("c")
     with pytest.raises(BudgetExhausted):
-        mon.lcm_data("right", x, y, budget=300, max_len=128)
-    # and the cached outcome is replayed for the same budget and cap
+        mon.lcm_data("right", x, y, budget=300)
+    # and the cached outcome is replayed for the same budget
     with pytest.raises(BudgetExhausted):
-        mon.lcm_data("right", x, y, budget=300, max_len=128)
+        mon.lcm_data("right", x, y, budget=300)
     ms = MultipleSets(mon)
     assert ms.brute_lcm("right", x, y, 9) is None
 
@@ -233,32 +234,54 @@ def test_lcm_budget_replay_formats_no_message(monkeypatch):
     mon = Monoid(all_threes())
     x, y = mon.element("ab"), mon.element("c")
     with pytest.raises(BudgetExhausted):
-        mon.lcm_data("right", x, y, budget=300, max_len=128)
+        mon.lcm_data("right", x, y, budget=300)
     calls = []
     plain_str = MonoidElement.__str__
     monkeypatch.setattr(MonoidElement, "__str__", lambda el: calls.append(el) or plain_str(el))
     messages = []
     for _ in range(2):
         with pytest.raises(BudgetExhausted) as info:
-            mon.lcm_data("right", x, y, budget=300, max_len=128)
+            mon.lcm_data("right", x, y, budget=300)
         messages.append(str(info.value))
         assert info.value.stats == {"steps": 300}
     assert calls == []
     assert messages == ["right-lcm of ab and c undetermined within budget"] * 2
 
 
-def test_lcm_answer_is_keyed_by_budget_and_length_cap():
+def test_lcm_answer_is_keyed_by_budget():
     # an lcm settled at the default budget is not an answer at a smaller one
     mon = Monoid(braid_pair(3))
     x, y = mon.element("aaa"), mon.element("bbb")
     assert mon.lcm("right", x, y) == mon.element("aaabaabba")
-    for options in ({"budget": 5}, {"max_len": 4}):
-        fresh = Monoid(braid_pair(3))
-        with pytest.raises(BudgetExhausted) as on_fresh:
-            fresh.lcm_data("right", fresh.element("aaa"), fresh.element("bbb"), **options)
-        with pytest.raises(BudgetExhausted) as on_settled:
-            mon.lcm_data("right", x, y, **options)
-        assert str(on_settled.value) == str(on_fresh.value)
+    fresh = Monoid(braid_pair(3))
+    with pytest.raises(BudgetExhausted) as on_fresh:
+        fresh.lcm_data("right", fresh.element("aaa"), fresh.element("bbb"), budget=5)
+    with pytest.raises(BudgetExhausted) as on_settled:
+        mon.lcm_data("right", x, y, budget=5)
+    assert str(on_settled.value) == str(on_fresh.value)
+
+
+def test_a_search_and_a_direct_call_share_one_lcm_entry(monkeypatch):
+    # the searches pass lcm_data their lcm budget and nothing else, so a
+    # direct call under that budget reads the very answer a search stored
+    answers = []
+    plain = Monoid.lcm_data
+
+    def spy(self, *args):
+        out = plain(self, *args)
+        answers.append((args, out))
+        return out
+
+    mon = Monoid(A3)
+    a = Multifraction.from_signed_word(mon, parse_signed(A3, "acAC")).pad(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(Monoid, "lcm_data", spy)
+        assert search_reduction(a, lcm_budget=777).found
+    settled = [(args, out) for args, out in answers if out is not None]
+    assert settled
+    for (side, x, y, budget, *_), out in settled:
+        assert budget == 777
+        assert mon.lcm_data(side, x, y, budget) is out
 
 
 def test_lcm_data_builds_no_class_of_the_lcm(monkeypatch):
@@ -290,34 +313,34 @@ def test_lcm_check_catches_a_table_that_breaks_a_relation():
 
 def test_lcm_check_needs_no_budget_of_its_own(monkeypatch):
     # the check runs no reversing, so a one-step default budget does not
-    # stop an lcm that the caller's budget settles, with or without a cap
+    # stop an lcm that the caller's budget settles
     monkeypatch.setattr(monoid_module, "DEFAULT_STEP_BUDGET", 1)
     mon = Monoid(A3)
     x, y = mon.element("a"), mon.element("b")
     assert mon.lcm_data("right", x, y, budget=100) == (mon.element("ba"), mon.element("ab"))
     x, y = mon.element("ab"), mon.element("cb")
     assert mon.lcm("left", x, y) == mon.element("acb")
-    assert mon.lcm_data("left", x, y, budget=100, max_len=4) == (mon.element("c"), mon.element("a"))
+    assert mon.lcm_data("left", x, y, budget=100) == (mon.element("c"), mon.element("a"))
 
 
 _reverse_full = reversing.reverse_full  # the oracle's own reference, which `reversing_runs` does not count
 
 
-def _leftmost_lcm(mon, side, x, y, budget, max_len):
+def _leftmost_lcm(mon, side, x, y, budget):
     """What the leftmost reversing run says about the lcm: its split terminal, or "trip"."""
     sign = -1 if side == "right" else 1
     word = signed_of_positive(x.key, sign) + signed_of_positive(y.key, -sign)
     try:
-        terminal = _reverse_full(mon.presentation, side, word, budget, max_len).word
+        terminal = _reverse_full(mon.presentation, side, word, budget).word
     except BudgetExhausted:
         return "trip"
     split = reversing.split_terminal(side, terminal)
     return None if split is None else tuple(mon.element(c) for c in split)
 
 
-def _lcm_outcome(mon, side, x, y, budget, max_len):
+def _lcm_outcome(mon, side, x, y, budget):
     try:
-        return mon.lcm_data(side, x, y, budget, max_len)
+        return mon.lcm_data(side, x, y, budget)
     except BudgetExhausted:
         return "trip"
 
@@ -336,11 +359,11 @@ def reversing_runs(monkeypatch):
     return count
 
 
-def _check_lcm(mon, reversing_runs, side, x, y, budget, cap, want):
+def _check_lcm(mon, reversing_runs, side, x, y, budget, want):
     """lcm_data gives `want` and starts no reverse_full run."""
-    got = _lcm_outcome(mon, side, x, y, budget, cap)
-    assert got == want, (side, str(x), str(y), budget, cap)
-    assert reversing_runs[0] == 0, (side, str(x), str(y), budget, cap)
+    got = _lcm_outcome(mon, side, x, y, budget)
+    assert got == want, (side, str(x), str(y), budget)
+    assert reversing_runs[0] == 0, (side, str(x), str(y), budget)
 
 
 def _check_memo_entry(pres, s, w, hit):
@@ -349,21 +372,15 @@ def _check_memo_entry(pres, s, w, hit):
     Returns the kind of entry: "trip", "settled" or "blocked".
     """
     word = signed_of_positive(w, -1) + (s + 1,)
-
-    def run(budget, cap):
-        return _reverse_full(pres, "right", word, budget, None if cap == float("inf") else cap)
-
-    if len(hit) == 2:  # the run trips under budget k and cap p
+    if isinstance(hit, int):  # the run trips under budget hit
         with pytest.raises(BudgetExhausted):
-            run(*hit)
+            _reverse_full(pres, "right", word, hit)
         return "trip"
-    w2, s2, steps, longest, blocked = hit
-    result = run(steps, longest)
+    w2, s2, steps, blocked = hit
+    result = _reverse_full(pres, "right", word, steps)
     assert result.steps == steps, (s, w, hit)
     with pytest.raises(BudgetExhausted):
-        run(steps - 1, None)
-    with pytest.raises(BudgetExhausted):
-        run(steps, longest - 1)
+        _reverse_full(pres, "right", word, steps - 1)
     split = reversing.split_terminal("right", result.word)
     assert split == (None if blocked else (s2, w2)), (s, w, hit)
     # s' spells the terminal before w'^-1, blocked or not, with the signs dropped
@@ -375,10 +392,8 @@ def _memo_entries(mon):
     return {(s, w, hit) for s, memo in enumerate(mon._complements) for w, hit in memo.items()}
 
 
-# (budget, cap): the searches pass (1000, 512) and `lcm` (10000, None); the
-# last three leave the cap so little room that it decides
-LCM_LIMITS = [(1000, 512), (10000, None), (40, None), (200, 64), (7, 20), (1000, 30),
-              (1000, 3), (1000, 5), (30, 8)]
+# the searches pass 1000 and `lcm` 10000
+LCM_BUDGETS = [1000, 10000, 40, 200, 7, 30]
 
 
 @pytest.mark.parametrize(
@@ -389,23 +404,23 @@ LCM_LIMITS = [(1000, 512), (10000, None), (40, None), (200, 64), (7, 20), (1000,
 )
 def test_lcm_data_matches_the_leftmost_reversing_run(pres, max_len, reversing_runs):
     # every pair of elements up to max_len letters, both sides and every
-    # (budget, cap) pair on one shared Monoid: lcm_data trips exactly where
-    # the leftmost run trips, and otherwise gives its split terminal
+    # budget on one shared Monoid: lcm_data trips exactly where the
+    # leftmost run trips, and otherwise gives its split terminal
     mon = Monoid(pres)
     n = len(pres.generators)
     els = sorted({mon.element(bytes(t)) for k in range(max_len + 1) for t in product(range(n), repeat=k)})
-    for budget, cap in LCM_LIMITS:
+    for budget in LCM_BUDGETS:
         for side in ("right", "left"):
             for x in els:
                 for y in els:
-                    want = _leftmost_lcm(mon, side, x, y, budget, cap)
-                    _check_lcm(mon, reversing_runs, side, x, y, budget, cap, want)
+                    want = _leftmost_lcm(mon, side, x, y, budget)
+                    _check_lcm(mon, reversing_runs, side, x, y, budget, want)
 
 
 def test_lcm_data_matches_the_leftmost_run_on_random_words(reversing_runs):
-    # seeded random words of up to 7 letters, budgets 0-1000 and caps None or
-    # 0-512, both sides, on one shared Monoid per presentation (labels 2-5 and
-    # free pairs) and on fresh ones; then every entry the shared memo held
+    # seeded random words of up to 7 letters, budgets 0-1000, both sides, on
+    # one shared Monoid per presentation (labels 2-5 and free pairs) and on
+    # fresh ones; then every entry the shared memo held
     rng = random.Random(16)
     kinds = set()
     for pres in (braid_pair(5), ArtinPresentation("ab", {}), A3, all_threes(), ONE_FREE_PAIR, TWO_FREE_PAIRS):
@@ -416,10 +431,9 @@ def test_lcm_data_matches_the_leftmost_run_on_random_words(reversing_runs):
             mon = shared if rng.random() < 0.75 else Monoid(pres)
             x, y = (mon.element(bytes(rng.randrange(n) for _ in range(rng.randint(0, 7)))) for _ in "xy")
             budget = rng.choice([0, 1, 2, 3, 5, 8, 13, 30, 100, 1000])
-            cap = rng.choice([None, None, 0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 512])
             side = rng.choice(("right", "left"))
-            want = _leftmost_lcm(mon, side, x, y, budget, cap)
-            _check_lcm(mon, reversing_runs, side, x, y, budget, cap, want)
+            want = _leftmost_lcm(mon, side, x, y, budget)
+            _check_lcm(mon, reversing_runs, side, x, y, budget, want)
             if mon is shared:
                 entries |= _memo_entries(shared)
         kinds.update(_check_memo_entry(pres, *entry) for entry in entries)
@@ -435,24 +449,23 @@ def test_lcm_answers_do_not_depend_on_the_complement_memo(reversing_runs):
     pres = all_threes()
     shared = Monoid(pres)
     words = ["a", "c", "ab", "ca", "abc", "aab", "bba", "aabb", "bbaa"]
-    limits = [(budget, None) for budget in range(12)] + [(40, None), (200, 64), (7, 20), (1000, 30)]
-    calls = [(side, x, y, *limit) for side in ("right", "left") for x in words for y in words for limit in limits]
+    budgets = list(range(12)) + [40, 200, 1000]
+    calls = [(side, x, y, budget) for side in ("right", "left") for x in words for y in words for budget in budgets]
     random.Random(15).shuffle(calls)
     outcomes = set()
     trips = set()  # every trip the memo held at some point
-    for side, x, y, budget, cap in calls:
+    for side, x, y, budget in calls:
         fresh = Monoid(pres)
-        want = _lcm_outcome(fresh, side, fresh.element(x), fresh.element(y), budget, cap)
+        want = _lcm_outcome(fresh, side, fresh.element(x), fresh.element(y), budget)
         if isinstance(want, tuple):
             want = tuple(shared.element(c.key) for c in want)
-        _check_lcm(shared, reversing_runs, side, shared.element(x), shared.element(y), budget, cap, want)
+        _check_lcm(shared, reversing_runs, side, shared.element(x), shared.element(y), budget, want)
         outcomes.add("trip" if want == "trip" else "settled")
-        trips.update(entry for entry in _memo_entries(shared) if len(entry[2]) == 2)
+        trips.update(entry for entry in _memo_entries(shared) if isinstance(entry[2], int))
     assert outcomes == {"trip", "settled"}
     # each memo entry is a fact about its key, checked by reversing w^-1 s on its own
     kinds = {_check_memo_entry(pres, *entry) for entry in trips | _memo_entries(shared)}
     assert kinds == {"trip", "settled"}
-    assert any(k < float("inf") for _, _, (k, _) in trips) and any(p < float("inf") for _, _, (_, p) in trips)
     # reversing (ab)^-1 c never ends; the kernel's explicit stack keeps a
     # 10 000-step budget from reaching the recursion limit
     mon = Monoid(pres)
@@ -511,7 +524,7 @@ def test_operations_return_interned_elements(pres):
                     interned(q)
                 interned(m.gcd(side, x, y))
                 try:
-                    data = m.lcm_data(side, x, y, budget=200, max_len=64)
+                    data = m.lcm_data(side, x, y, budget=200)
                 except BudgetExhausted:
                     continue
                 if data is not None:

@@ -105,9 +105,9 @@ def test_decide_settles_every_lcm_at_its_lcm_budget(monkeypatch):
     budgets = set()
     plain = Monoid.lcm_data
 
-    def spy(self, side, x, y, budget=DEFAULT_STEP_BUDGET, max_len=None):
+    def spy(self, side, x, y, budget=DEFAULT_STEP_BUDGET):
         budgets.add(budget)
-        return plain(self, side, x, y, budget, max_len)
+        return plain(self, side, x, y, budget)
 
     monkeypatch.setattr(Monoid, "lcm_data", spy)
     a3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
