@@ -73,9 +73,9 @@ calls it; it stays as the tests' oracle for the kernels above.
 Each element gets a dense id when it is interned, in order of interning,
 the identity 0, and keeps it for the life of its Monoid, so every search
 on a Monoid encodes states the same way (multifraction._CompactStates).
-The lcm cache and the reduction kernel's window memos (one per parity
-and lcm budget, see multifraction._ReductionStates) are `_Memo`s: two
-generations of at most MEMO_CAP entries each.  New entries go into the
+The lcm cache and the window memos of the reduction and split kernels
+(one per kernel, parity and lcm budget, see `_window_memos`) are `_Memo`s:
+two generations of at most MEMO_CAP entries each.  New entries go into the
 young one; a full young generation becomes the old one, and an old entry
 that is read again is copied back into the young one.  Every value they
 hold is a function of its key, so dropping an old generation costs at
@@ -98,7 +98,7 @@ from operator import attrgetter
 
 from .errors import BudgetExhausted, StructuralError
 from .presentation import ArtinPresentation
-from .reversing import DEFAULT_STEP_BUDGET
+from .reversing import DEFAULT_STEP_BUDGET, relation_heads
 # not called here: kept as monoid.reverse_full, the name perfbench/tracer.py wraps
 from .reversing import reverse_full  # noqa: F401
 
@@ -205,15 +205,10 @@ class Monoid:
     def __init__(self, presentation: ArtinPresentation):
         self.presentation = presentation
         n = len(presentation.generators)
-        # _heads[s][t] = (t s t ...) of length m(s,t)-1, None for a free pair;
+        # _heads[s][t] = (t s t ...) of length m(s,t)-1, b"" when s = t, None for a free pair;
         # _joins[t][s] = the length of s v t (1 when s = t), 0 for a free pair
-        self._heads: list[list[bytes | None]] = [[None] * n for _ in range(n)]
-        self._joins: list[list[int]] = [[int(i == j) for i in range(n)] for j in range(n)]
-        for s, t, m in presentation.labelled_pairs():
-            i, j = presentation.index(s), presentation.index(t)
-            self._heads[i][j] = bytes((j, i) * m)[:m - 1]
-            self._heads[j][i] = bytes((i, j) * m)[:m - 1]
-            self._joins[i][j] = self._joins[j][i] = m
+        self._heads = relation_heads(presentation)
+        self._joins = tuple(tuple(0 if h is None else len(h) + 1 for h in row) for row in self._heads)
         # _quotients[s] = {word w: s\w, or None when s does not left-divide w}
         self._quotients: list[dict[bytes, bytes | None]] = [{} for _ in range(n)]
         self._keys: dict[bytes, bytes] = {b"": b""}  # every word met -> its key
@@ -228,8 +223,8 @@ class Monoid:
         self._complements: list[dict[bytes, tuple | int]] = [{} for _ in range(n)]
         # (side, x, y, budget) -> lcm_data's answer, or a budget trip's message
         self._lcm_cache = _Memo()
-        # lcm budget -> the reduction kernel's window memos, for even and odd positions
-        self._windows: dict[int, tuple[_Memo, _Memo]] = {}
+        # (kernel, lcm budget) -> that kernel's window memos, for even and odd positions
+        self._windows: dict[tuple[str, int], tuple[_Memo, _Memo]] = {}
         self.identity = self.element(b"")  # the first element interned: id 0
 
     # -- quotients, keys and elements --------------------------------------
@@ -326,12 +321,12 @@ class Monoid:
                 self._keys[key] = key
         return el
 
-    def _window_memos(self, lcm_budget: int) -> tuple[_Memo, _Memo]:
-        """The reduction kernel's window memos under this lcm budget, for
-        even and odd positions (multifraction._ReductionStates)."""
-        memos = self._windows.get(lcm_budget)
+    def _window_memos(self, kernel: str, lcm_budget: int) -> tuple[_Memo, _Memo]:
+        """The window memos of a kernel, "reduction" or "split", under this
+        lcm budget, for even and odd positions (multifraction._CompactStates)."""
+        memos = self._windows.get((kernel, lcm_budget))
         if memos is None:
-            memos = self._windows.setdefault(lcm_budget, (_Memo(), _Memo()))
+            memos = self._windows.setdefault((kernel, lcm_budget), (_Memo(), _Memo()))
         return memos
 
     def canonical(self, word) -> bytes:

@@ -21,11 +21,13 @@ bytes of its entries' 4-byte ids, the dense ids their Monoid gives its
 elements (the identity 0).  A step at position i reads and writes only
 a_{i-1}, a_i and a_{i+1}, so a window's children are computed once per
 Monoid and lcm budget, keyed by i's parity and the window's ids, and a
-child is built by bytes slicing (`_ReductionStates`).  The window memos
-live on the Monoid, bounded like its lcm cache (`monoid._Memo`), so the
-many small searches of a long-lived Monoid share their rows.
-`_reduction_children` reads the same kernel for a single state;
-`Multifraction` objects are built only at the API boundary.
+child is built by bytes slicing (`_ReductionStates`).  Each kernel's
+window memos live on the Monoid, bounded like its lcm cache
+(`monoid._Memo`), so the many small searches of a long-lived Monoid share
+their rows.  One replay, `_CompactStates.steps`, builds the step objects
+of a returned trace, and `_CompactStates.expand` reads a kernel for a
+single state (`_reduction_children`); `Multifraction` objects are built
+only at the API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
 enumeration is budgeted.  A search that had to skip an undetermined lcm
@@ -214,19 +216,24 @@ class _CompactStates:
     and compared as one bytes object.  A rule at position i reads and
     writes only a few neighbouring entries, so its children depend only on
     i's parity and that window's ids: `_memos[i % 2]` maps the window's
-    bytes to what the kernel computed for it, and only those misses read
-    the Monoid.  A subclass is one rewrite system's kernel and brings its
-    memos: `_ReductionStates` here reads the Monoid's, shared by every
-    reduction search under the same lcm budget, and `split._SplitStates`
-    keeps its own for one search.
+    bytes to one `bytes` value that the kernel computed for it, and only
+    those misses read the Monoid.  A subclass is one rewrite system's
+    kernel, named by `kernel`; its memos are the Monoid's for that kernel
+    and lcm budget (`Monoid._window_memos`), shared by every search on the
+    Monoid, so no value may depend on the search.
+
+    `children` records each step as (i, rep), rep the bytes it writes into
+    the state; `step(state, i, rep)` gives its step object and the child
+    it leads to, which `steps` replays along a returned trace and `expand`
+    reads for a single state.
     """
 
     __slots__ = ("monoid", "lcm_budget", "_memos")
 
-    def __init__(self, monoid: Monoid, lcm_budget: int, memos: tuple):
+    def __init__(self, monoid: Monoid, lcm_budget: int):
         self.monoid = monoid
         self.lcm_budget = lcm_budget
-        self._memos = memos
+        self._memos = monoid._window_memos(self.kernel, lcm_budget)
 
     def encode(self, entries) -> bytes:
         return array("I", map(_ID, entries)).tobytes()
@@ -237,6 +244,23 @@ class _CompactStates:
     def wordlength(self, state: bytes) -> int:
         elems = self.monoid._by_id
         return sum([len(elems[i].key) for i in memoryview(state).cast("I")])
+
+    def steps(self, start: bytes, trace) -> tuple:
+        """The step objects of the kernel's steps from `start`, replayed state by state."""
+        out = []
+        for i, rep in trace:
+            step, start = self.step(start, i, rep)
+            out.append(step)
+        return tuple(out)
+
+    def expand(self, entries) -> tuple[list, bool]:
+        """Every (step object, child entries) of one state, in the kernel's
+        order, and False when a candidate was skipped because its lcm ran
+        out of budget."""
+        state = self.encode(entries)
+        children, complete = self.children(state)
+        replayed = [self.step(state, i, rep) for _, (i, rep), _ in children]
+        return [(step, self.decode(child)) for step, child in replayed], complete
 
 
 class _ReductionStates(_CompactStates):
@@ -255,9 +279,7 @@ class _ReductionStates(_CompactStates):
     """
 
     __slots__ = ()
-
-    def __init__(self, monoid: Monoid, lcm_budget: int):
-        super().__init__(monoid, lcm_budget, monoid._window_memos(lcm_budget))
+    kernel = "reduction"
 
     def children(self, state: bytes) -> tuple[list, bool]:
         """Every (0, (i, replacement), child state), ordered by (i, x), and
@@ -318,35 +340,24 @@ class _ReductionStates(_CompactStates):
             rows.append(_UNSETTLED)
         return b"".join(rows)
 
-    def step(self, state: bytes, i: int, rep: bytes) -> ReductionStep:
-        """The ReductionStep that the kernel's (i, rep) is on `state`: x is
-        the divisor of a_{i+1} whose cofactor is rep's last entry."""
+    def step(self, state: bytes, i: int, rep: bytes) -> tuple[ReductionStep, bytes]:
+        """The ReductionStep that the kernel's (i, rep) is on `state`, and
+        its child: x is the divisor of a_{i+1} whose cofactor is rep's last
+        entry."""
         elems = self.monoid._by_id
         entry, quot = elems[memoryview(state).cast("I")[i]], elems[memoryview(rep).cast("I")[-1]]
         # even i: a_{i+1} = x * quot; odd i: a_{i+1} = quot * x
-        return ReductionStep(i, self.monoid.divide("right" if i % 2 == 0 else "left", quot, entry))
-
-    def steps(self, start: bytes, trace) -> tuple:
-        """The ReductionSteps of the kernel's steps from `start`, replayed state by state."""
-        out = []
-        for i, rep in trace:
-            out.append(self.step(start, i, rep))
-            hi = 4 * i + 4  # the window ends after a_{i+1} and is as long as rep
-            start = start[:hi - len(rep)] + rep + start[hi:]
-        return tuple(out)
+        x = self.monoid.divide("right" if i % 2 == 0 else "left", quot, entry)
+        hi = 4 * i + 4  # the window ends after a_{i+1} and is as long as rep
+        return ReductionStep(i, x), state[:hi - len(rep)] + rep + state[hi:]
 
 
 def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[list, bool]:
-    """Every (ReductionStep, child entries) of a state, ordered by (i, x).
-
-    These are the children `apply_reduction` gives, read off the search's
-    kernel, `_ReductionStates.children`.  The flag is False when a candidate
-    was skipped because its lcm ran out of budget.
-    """
-    states = _ReductionStates(m, lcm_budget)
-    state = states.encode(entries)
-    children, complete = states.children(state)
-    return [(states.step(state, i, rep), states.decode(child)) for _, (i, rep), child in children], complete
+    """Every (ReductionStep, child entries) of a state, ordered by (i, x),
+    and False when a candidate was skipped because its lcm ran out of
+    budget: the children `apply_reduction` gives, read off the search's
+    kernel, `_ReductionStates`."""
+    return _ReductionStates(m, lcm_budget).expand(entries)
 
 
 def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:

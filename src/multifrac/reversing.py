@@ -34,67 +34,58 @@ __all__ = [
 
 DEFAULT_STEP_BUDGET = 10_000
 
-_DELETE = ()
-
 
 @lru_cache(maxsize=None)
-def _tables(pres: ArtinPresentation, side: str) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Factor -> replacement map for one reversing side.
+def relation_heads(pres: ArtinPresentation) -> tuple[tuple[bytes | None, ...], ...]:
+    """heads[s][t] = (t s t ...) of length m(s,t)-1, for generator indices s
+    and t: b"" when s = t, None for a free pair.
 
-    Keys are length-2 signed factors; the value () means deletion.  Factors
-    absent from the map are either of the wrong sign pattern or blocked
-    (free pair).  Every entry is checked against `pres.relations()` when the
-    table is built, so a reversing run proves equalities on its own.
+    s.heads[s][t] = t.heads[t][s] is then the relation of s and t, both
+    sides of it representing s v t.  Every pair is checked against
+    `pres.relations()` when the heads are built, so the reversing tables and
+    the Monoid kernels, which all derive from these heads, prove equalities
+    on their own.
     """
-    enc = lambda w: tuple(pres.index(g) + 1 for g in w)
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(len(pres.generators)):
-        x = i + 1
-        if side == "right":
-            table[(-x, x)] = _DELETE
-        else:
-            table[(x, -x)] = _DELETE
+    n = len(pres.generators)
+    heads = [[b"" if s == t else None for t in range(n)] for s in range(n)]
     for s, t, m in pres.labelled_pairs():
-        for s, t in ((s, t), (t, s)):
-            si, ti = pres.index(s) + 1, pres.index(t) + 1
-            if side == "right":
-                # s^-1 t -> v u^-1  with  s v = t u  the relation of length m
-                v = enc(alternating_word(t, s, m - 1))
-                u = enc(alternating_word(s, t, m - 1))
-                table[(-si, ti)] = v + tuple(-c for c in reversed(u))
-            else:
-                # s t^-1 -> v^-1 u  with  v s = u t
-                if m % 2 == 0:
-                    v = enc(alternating_word(t, s, m - 1))
-                    u = enc(alternating_word(s, t, m - 1))
-                else:
-                    v = enc(alternating_word(s, t, m - 1))
-                    u = enc(alternating_word(t, s, m - 1))
-                table[(si, -ti)] = tuple(-c for c in reversed(v)) + u
-    _check_table(pres, side, table)
-    return table
-
-
-def _check_table(pres: ArtinPresentation, side: str, table: dict) -> None:
-    """Raise StructuralError unless every entry follows a defining relation.
-
-    Right: s^-1 t -> v u^-1 needs s v = t u; left: s t^-1 -> v^-1 u needs
-    v s = u t.  Deletion (s = t, v = u = 1) is the trivial case.
-    """
+        i, j = pres.index(s), pres.index(t)
+        heads[i][j] = pres.encode(alternating_word(t, s, m - 1))
+        heads[j][i] = pres.encode(alternating_word(s, t, m - 1))
     relations = set()
     for rel in pres.relations():
         lhs, rhs = pres.encode(rel.lhs), pres.encode(rel.rhs)
         relations |= {(lhs, rhs), (rhs, lhs)}
-    for (a, b), rep in table.items():
-        s, t = (-a, b) if side == "right" else (a, -b)
-        split = split_terminal(side, rep)
-        if s > 0 and t > 0 and split is not None:
-            v, u = split
-            s, t = bytes([s - 1]), bytes([t - 1])
-            pair = (s + v, t + u) if side == "right" else (v + s, u + t)
-            if pair in relations or (s == t and not v and not u):
-                continue
-        raise StructuralError(f"{side} reversing table entry {(a, b)} -> {rep} is not a defining relation")
+    for s, row in enumerate(heads):
+        for t, v in enumerate(row):
+            if s != t and v is not None and (bytes([s]) + v, bytes([t]) + heads[t][s]) not in relations:
+                s, t = pres.generators[s], pres.generators[t]
+                raise StructuralError(f"the relation heads of {s} and {t} are not their defining relation")
+    return tuple(map(tuple, heads))
+
+
+@lru_cache(maxsize=None)
+def _tables(pres: ArtinPresentation, side: str) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Factor -> replacement map for one reversing side, from `relation_heads`.
+
+    Keys are length-2 signed factors; the value () means deletion.  Factors
+    absent from the map are either of the wrong sign pattern or blocked
+    (free pair).  Right: s^-1 t -> v u^-1 with s v = t u, so v = heads[s][t]
+    and u = heads[t][s]; left: s t^-1 -> v^-1 u with v s = u t, the mirror,
+    so v and u are those heads reversed.  On the diagonal both are empty: a
+    deletion.
+    """
+    heads = relation_heads(pres)
+    table: dict[tuple[int, int], tuple[int, ...]] = {}
+    for s, row in enumerate(heads):
+        for t, v in enumerate(row):
+            if v is not None:
+                u = heads[t][s]
+                if side == "right":
+                    table[(-s - 1, t + 1)] = tuple(c + 1 for c in v) + tuple(-c - 1 for c in reversed(u))
+                else:
+                    table[(s + 1, -t - 1)] = tuple(-c - 1 for c in v) + tuple(c + 1 for c in reversed(u))
+    return table
 
 
 def reverse_step(

@@ -18,11 +18,11 @@ The search runs on the compact states the reduction search uses
 4-byte ids, the dense ids their Monoid gives its elements (the identity
 0).  A split at i reads only a_i and a_{i+1}, and a trim at i only a_i,
 a_{i+1} and a_{i+2}, so each window's children are computed once per
-search, keyed by i's parity and the window's ids, from the divisor tables
+Monoid, keyed by i's parity and the window's ids, from the divisor tables
 and `Monoid.lcm_data`; a child is built by bytes slicing (`_SplitStates`).
-Unlike the reduction kernel's, the window memo belongs to one search and
-is dropped when it returns, because its split rows carry the search's
-priority `scale`.
+The window memos live on the Monoid beside the reduction kernel's,
+bounded the same way (`monoid._Memo`): a split row stores its unscaled
+word-length growth, so no row depends on the search that computed it.
 `_split_children` reads the same kernel for a single state;
 `Multifraction` objects and steps are built only at the API boundary.
 
@@ -45,6 +45,7 @@ from .multifraction import (
     Multifraction,
     ReductionStep,
     SearchResult,
+    _UNSETTLED,
     _CompactStates,
     _search,
     apply_reduction,
@@ -126,7 +127,10 @@ def apply_split_or_trim(a: Multifraction, step) -> Multifraction | None:
     raise TypeError(f"not a split-system step: {step!r}")
 
 
-_pack1, _pack4 = Struct("I").pack, Struct("4I").pack
+_pack1 = Struct("I").pack
+# a split window's memo value, row by row: the ids of b_i, c_y, c_x and the new
+# last entry, then the row's growth |c_x| + |c_y| - |x| - |y|, 20 bytes in all
+_pack_row, _rows = Struct("4Ii").pack, Struct("16si").iter_unpack
 
 
 class _SplitStates(_CompactStates):
@@ -134,26 +138,31 @@ class _SplitStates(_CompactStates):
 
     A trim at i reads a_i, a_{i+1} = 1 and a_{i+2} and writes one merged
     entry; a split at i reads a_i and a_{i+1} and writes four entries.  So
-    a trim's memo entry, keyed by its 12-byte window, is the merged entry's
-    4-byte id, and a split's, keyed by its 8-byte window, holds its encoded
-    (x, y, replacement, delta) rows, ordered by (y, x), and a flag that is
-    False when an lcm ran out of budget.  The two window lengths cannot
-    collide in the memo of a parity.  The memos belong to this search,
-    because each split row's delta carries its `scale`.
+    a trim's memo value, keyed by its 12-byte window, is the merged entry's
+    4-byte id, and a split's, keyed by its 8-byte window, is one `bytes` of
+    20-byte rows, ordered by (y, x): the four ids the split writes, then
+    its growth, and the marker `_UNSETTLED` when an lcm ran out of budget.
+    The two window lengths cannot collide in the memo of a parity, and
+    neither value depends on the search, so the memos are the Monoid's,
+    shared by every split search on it.  The engine records a trim as
+    (i, merged) and a split as (i, replacement); `step` recovers x and y
+    for a returned trace only, as the divisors of a_{i+1} and a_i whose
+    cofactors are the replacement's last and first entries.
 
     A state's priority is wordlength * scale + depth, which orders states
     by (word-length, depth): no state is deeper than the start or the
     depth cap, and `scale` is one more than both.  A split changes the
-    word-length by |c_x| + |c_y| - |x| - |y| and the depth by +2, and a
-    trim keeps the word-length and lowers the depth by 2, so each split row
-    stores its priority delta, a trim's is -2, and a child's priority is
-    its parent's plus its delta.
+    word-length by its row's growth and the depth by +2, so its priority
+    delta is growth * scale + 2; a trim keeps the word-length and lowers
+    the depth by 2, a delta of -2.  A child's priority is its parent's plus
+    its delta.
     """
 
     __slots__ = ("cap", "scale")
+    kernel = "split"
 
     def __init__(self, monoid: Monoid, max_depth: int, start_depth: int):
-        super().__init__(monoid, DEFAULT_LCM_BUDGET, ({}, {}))
+        super().__init__(monoid, DEFAULT_LCM_BUDGET)
         self.cap = 4 * max_depth  # in bytes
         self.scale = max(start_depth, max_depth) + 1
 
@@ -163,14 +172,15 @@ class _SplitStates(_CompactStates):
     def children(self, state: bytes) -> tuple[list, bool]:
         """Every (priority delta, step, child state), trims by i then splits
         by (i, y, x), and False when a pair was skipped because its lcm ran
-        out of budget.  A step is (i,) for a trim and (i, x, y) for a split.
+        out of budget.  A step is (i, merged) for a trim and (i, replacement)
+        for a split.
 
         A child deeper than the cap is not built: one (0, None, "depth
         cap") follows the children that are.  Every window is still
         settled, so that an lcm budget trip at the cap outranks the cap.
         """
         ids = memoryview(state).cast("I")
-        memos, trims, splits, complete = self._memos, [], [], True
+        memos, scale, trims, splits, complete = self._memos, self.scale, [], [], True
         # a trim drops two entries and a split adds two, so the state's
         # length says which kinds pass the cap
         trim_ok, split_ok, capped = len(state) - 8 <= self.cap, len(state) + 8 <= self.cap, False
@@ -179,44 +189,45 @@ class _SplitStates(_CompactStates):
         # pair would be (1, 1), which is no step)
         last = len(ids) - 1
         for i in range(1, len(ids)):
-            lo = 4 * i - 4
+            lo, memo = 4 * i - 4, memos[i & 1]
             if not ids[i]:
                 if i < last and not trim_ok:
                     capped = True
                 elif i < last:
                     window = state[lo:lo + 12]
-                    memo = memos[i & 1]
-                    merged = memo.get(window)
-                    if merged is None:
-                        merged = memo[window] = self._trim(i, ids)
-                    trims.append((-2, (i,), state[:lo] + merged + state[lo + 12:]))
+                    merged = memo.young.get(window)
+                    if merged is None:  # promote it from the old generation, or compute it
+                        merged = memo.old.get(window)
+                        merged = memo.put(window, self._trim(i, ids) if merged is None else merged)
+                    trims.append((-2, (i, merged), state[:lo] + merged + state[lo + 12:]))
                 if not ids[i - 1]:
                     continue
             window = state[lo:lo + 8]
-            memo = memos[i & 1]
-            hit = memo.get(window)
-            if hit is None:
-                hit = memo[window] = self._split(i, ids)
-            rows, settled = hit
-            complete = complete and settled
+            rows = memo.young.get(window)
+            if rows is None:
+                rows = memo.old.get(window)
+                rows = memo.put(window, self._split(i, ids) if rows is None else rows)
+            if len(rows) & 1:  # the marker: an lcm ran out of budget
+                complete = False
+                rows = rows[:-1]
             if rows and not split_ok:
                 capped = True
             elif rows:
                 head, tail = state[:lo], state[lo + 8:]
-                splits += [(delta, (i, x, y), head + rep + tail) for x, y, rep, delta in rows]
+                splits += [(growth * scale + 2, (i, rep), head + rep + tail) for rep, growth in _rows(rows)]
         if capped:
             trims.append((0, None, "depth cap"))
         return trims + splits, complete
 
     def _trim(self, i: int, ids) -> bytes:
-        """The trim at position i of a state, on its window alone."""
+        """The trim at position i of a state, on its window alone: its memo value."""
         elems = self.monoid._by_id
         a, c = elems[ids[i - 1]].key, elems[ids[i + 1]].key
         return _pack1(self.monoid.element(a + c if i % 2 == 1 else c + a).id)
 
-    def _split(self, i: int, ids) -> tuple[list, bool]:
-        """The splits at position i of a state, on their window alone."""
-        m, element, scale = self.monoid, self.monoid.element, self.scale
+    def _split(self, i: int, ids) -> bytes:
+        """The splits at position i of a state, on their window alone: its memo value."""
+        m, element = self.monoid, self.monoid.element
         one, a_i, a_next = m.identity, m._by_id[ids[i - 1]], m._by_id[ids[i]]
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
         ys, y_cofactors = m._divisor_table(side, a_i)  # ys[0] is 1
@@ -235,26 +246,31 @@ class _SplitStates(_CompactStates):
                     comp_x, comp_y = data
                     b_last = a_next if x is one else element(x_cofactors[x])
                     growth = len(comp_x.key) + len(comp_y.key) - len(x.key) - y_len
-                    rows.append((x, y, _pack4(b_i.id, comp_y.id, comp_x.id, b_last.id),
-                                 growth * scale + 2))
-        return rows, settled
+                    rows.append(_pack_row(b_i.id, comp_y.id, comp_x.id, b_last.id, growth))
+        if not settled:
+            rows.append(_UNSETTLED)
+        return b"".join(rows)
 
-
-def _step(step: tuple):
-    """The TrimStep or SplitStep of a step the kernel recorded."""
-    return TrimStep(*step) if len(step) == 1 else SplitStep(*step)
+    def step(self, state: bytes, i: int, rep: bytes) -> tuple:
+        """The TrimStep or SplitStep that the kernel's (i, rep) is on
+        `state`, and its child."""
+        lo = 4 * i - 4
+        if len(rep) == 4:  # a trim's merged entry
+            return TrimStep(i), state[:lo] + rep + state[lo + 12:]
+        m, entries, new = self.monoid, memoryview(state).cast("I"), memoryview(rep).cast("I")
+        # even i: a_i = y * b_i and a_{i+1} = x * b_{i+3}; odd i: the mirror
+        side = "right" if i % 2 == 0 else "left"
+        x = m.divide(side, m._by_id[new[3]], m._by_id[entries[i]])
+        y = m.divide(side, m._by_id[new[0]], m._by_id[entries[i - 1]])
+        return SplitStep(i, x, y), state[:lo] + rep + state[lo + 8:]
 
 
 def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
-    """Every (step, child entries) of a state: trims by i, then splits by (i, y, x).
-
-    These are the children `apply_trim` and `apply_split` give, read off
-    the search's kernel, `_SplitStates.children`.  The flag is False when a
-    pair was skipped because its lcm ran out of budget.
-    """
-    states = _SplitStates(m, len(entries) + 2, len(entries))
-    children, complete = states.children(states.encode(entries))
-    return [(_step(step), states.decode(child)) for _, step, child in children], complete
+    """Every (step, child entries) of a state: trims by i, then splits by
+    (i, y, x), and False when a pair was skipped because its lcm ran out of
+    budget: the children `apply_trim` and `apply_split` give, read off the
+    search's kernel, `_SplitStates`, under a cap that every child fits."""
+    return _SplitStates(m, len(entries) + 2, len(entries)).expand(entries)
 
 
 def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
@@ -278,11 +294,11 @@ def split_reduces_to_trivial(
     exploration order does not affect what "exhausted" means.  found=True
     is definitive; anything else is undetermined (complete=False whenever a
     cap did any work).  The search runs on `_SplitStates`: a child's
-    priority is its parent's plus the delta stored with its window's row,
+    priority is its parent's plus a delta worked out from its window's row,
     so no state's entries are summed after the start's, and the target is
-    the all-zero state.  The engine records (i,) for a trim and (i, x, y)
-    for a split; `TrimStep`s and `SplitStep`s are built only for the
-    returned trace.
+    the all-zero state.  The engine records (i, merged) for a trim and
+    (i, replacement) for a split; `TrimStep`s and `SplitStep`s are built
+    only for the returned trace, by replaying it.
     """
     if max_depth is None:
         max_depth = 2 * a.depth + 12
@@ -293,7 +309,7 @@ def split_reduces_to_trivial(
     zeros = bytes(4 * min(states.scale, a.depth + 2 * max(state_budget, 0)))
     res = _search(start, states.children, zeros.startswith, state_budget, states.priority(start))
     if res.trace:
-        res = replace(res, trace=tuple(map(_step, res.trace)))
+        res = replace(res, trace=states.steps(start, res.trace))
     return res
 
 

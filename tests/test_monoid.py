@@ -306,7 +306,10 @@ def test_lcm_check_catches_a_table_that_breaks_a_relation():
     # elements, so their keys differ
     mon = Monoid(A3)
     a, b = mon.element("a"), mon.element("b")
-    mon._heads[1][0] = b"\0\0"
+    # the heads are shared by every Monoid of the presentation: corrupt a copy
+    heads = [list(row) for row in mon._heads]
+    heads[1][0] = b"\0\0"
+    mon._heads = heads
     with pytest.raises(StructuralError):
         mon.lcm_data("right", a, b)
 

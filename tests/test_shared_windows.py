@@ -1,11 +1,11 @@
 """Searches that share one Monoid's element ids, window memos and lcm cache.
 
 Every search on a Monoid encodes its states with the Monoid's element ids,
-and every reduction search reads and fills the Monoid's window memos (one
-per parity and lcm budget) and its lcm cache, which are bounded by two
-generations of at most `monoid.MEMO_CAP` entries each.  What one search
-leaves behind must never change another's result: in any order, past the
-cap, where the memos rotate all the time, and from several threads.
+and every reduction and split search reads and fills the Monoid's window
+memos (one per kernel, parity and lcm budget) and its lcm cache, which are
+bounded by two generations of at most `monoid.MEMO_CAP` entries each.  What
+one search leaves behind must never change another's result: in any order,
+past the cap, where the memos rotate all the time, and from several threads.
 """
 
 import random
@@ -17,7 +17,8 @@ import pytest
 
 from multifrac import ArtinPresentation, Monoid, Multifraction, search_reduction, split_reduces_to_trivial
 from multifrac import monoid as monoid_module
-from multifrac.split import SplitStep, TrimStep
+from multifrac.split import SplitStep, TrimStep, _SplitStates
+from multifrac.words import parse_signed
 
 from oracles import all_threes, braid_pair, signed_words_up_to
 
@@ -31,7 +32,7 @@ PRESENTATIONS = {"I2(3)": (braid_pair(3), 4), "I2(4)": (braid_pair(4), 4), "A3":
 def _cases(pres, max_len: int) -> list:
     """A reduction search of every word up to max_len at paddings 0-2 under
     lcm budgets 1, 10 and 1000, and a 20-state split search of each word
-    at paddings 0-1, which shares the lcm cache but keeps its own windows."""
+    at paddings 0-1, which reads the Monoid's split windows."""
     cases = []
     for w in signed_words_up_to(pres, max_len):
         cases += [("reduction", w, p, budget) for p in (0, 1, 2) for budget in (1, 10, 1000)]
@@ -60,6 +61,22 @@ def test_a_shared_monoid_gives_what_fresh_monoids_give(name):
     shared = Monoid(pres)
     for case in cases:
         assert _pinned(_search(shared, case)) == _pinned(_search(Monoid(pres), case)), case
+
+
+def test_a_repeated_split_search_computes_no_window(monkeypatch):
+    mon = Monoid(all_threes())
+    a = Multifraction.from_signed_word(mon, parse_signed(mon.presentation, "abaBAB")).pad(1)
+    calls = {"_split": 0, "_trim": 0}
+    for name in calls:
+        def spy(self, i, ids, name=name, kernel=getattr(_SplitStates, name)):
+            calls[name] += 1
+            return kernel(self, i, ids)
+        monkeypatch.setattr(_SplitStates, name, spy)
+    first = split_reduces_to_trivial(a, state_budget=200)
+    assert calls["_split"] and calls["_trim"]
+    calls.update(_split=0, _trim=0)
+    assert _pinned(split_reduces_to_trivial(a, state_budget=200)) == _pinned(first)
+    assert calls == {"_split": 0, "_trim": 0}
 
 
 def _elements_of(step) -> tuple:

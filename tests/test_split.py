@@ -225,15 +225,16 @@ def test_split_rows_carry_the_priority_delta(pres, max_len):
             states = _SplitStates(mon, 2 * start.depth + 12, start.depth)
             parent = states.encode(start.entries)
             length, scale = states.wordlength(parent), states.scale
-            for delta, step, child in states.children(parent)[0]:
-                kinds.add(len(step))
-                if len(step) == 1:  # a trim keeps the word length and drops two entries
-                    assert delta == -2 and states.wordlength(child) == length, (w, p, step)
+            for delta, (i, rep), child in states.children(parent)[0]:
+                # a trim writes its 4-byte merged entry, a split its 16-byte replacement
+                kinds.add(len(rep))
+                if len(rep) == 4:  # a trim keeps the word length and drops two entries
+                    assert delta == -2 and states.wordlength(child) == length, (w, p, i, rep)
                 else:  # a split adds two entries
-                    assert (delta - 2) % scale == 0, (w, p, step)
-                    assert length + (delta - 2) // scale == states.wordlength(child), (w, p, step)
+                    assert (delta - 2) % scale == 0, (w, p, i, rep)
+                    assert length + (delta - 2) // scale == states.wordlength(child), (w, p, i, rep)
                 assert states.priority(parent) + delta == states.priority(child)
-    assert kinds == {1, 3}
+    assert kinds == {4, 16}
 
 
 def test_compact_split_search_matches_tuple_search_on_lcm_budget_trips(a2t):

@@ -120,18 +120,26 @@ def test_reversing_preserves_group_element():
             assert equal_in_group_fc(mon, w, res.word)
 
 
+def _clear_table_caches():
+    reversing.relation_heads.cache_clear()
+    reversing._tables.cache_clear()
+
+
 def test_reversing_tables_are_checked_against_the_relations(monkeypatch):
     pres = all_threes()
-    # t s t ... where s t s ... belongs: no table entry follows its relation
+    # the heads builder gets s t s ... where t s t ... belongs: no pair of
+    # heads, and so no table entry, follows its relation
     monkeypatch.setattr(reversing, "alternating_word", lambda s, t, n: tuple((t, s)[k % 2] for k in range(n)))
-    reversing._tables.cache_clear()
+    _clear_table_caches()
     try:
         for side in ("right", "left"):
             with pytest.raises(StructuralError):
                 reverse_full(pres, side, sw(pres, "Ab" if side == "right" else "aB"))
+        with pytest.raises(StructuralError):
+            Monoid(pres)
     finally:
         monkeypatch.undo()
-        reversing._tables.cache_clear()
+        _clear_table_caches()
 
 
 def test_lcm_via_reversing_matches_brute_force_small():
