@@ -394,20 +394,43 @@ def _search(start, successors, is_target, state_budget, priority=0) -> SearchRes
     "lcm budget" before it reads them.  A child (delta, None, reason) marks
     work a cap skipped at that point of the list ("depth cap" in split
     reduction).  `priority` is the start's priority and a child's is its
-    parent's plus its delta; states leave the frontier by (priority,
-    insertion tick), so a search whose deltas are all 0 is breadth-first.
+    parent's plus its delta; states leave the frontier in (priority,
+    insertion) order, so a search whose deltas are all 0 is breadth-first.
     `steps` counts admitted children before dedupe.  Reasons rank "state
     budget" over "lcm budget" over "depth cap"; a found trace carries no
     reason, and its `complete` covers only the caps met before it.
+
+    The frontier is a bucket queue: `bucket` holds the current priority's
+    states in insertion order and `read` indexes the next one to expand;
+    `buckets` maps every other priority that holds states to its list, and
+    the heap `keys` holds exactly those priorities.  A delta-0 child is
+    appended to `bucket`; any other child to its priority's list, whose key
+    is pushed when the list is created.  Before each expansion, a used-up
+    bucket gives way to the lowest key, and a part-read one to a lower key
+    that has arrived (a split trim has delta -2): it is parked uncopied
+    with its read index, and later children of its priority are appended
+    behind its unread rest.  So a breadth-first search makes no heap
+    operation.
     """
     if is_target(start):
         return SearchResult(True, True, (), 1, 0)
     seen: dict = {start: None}  # state -> (parent state, step), None at the start
-    frontier = [(priority, 0, start)]
-    tick = edges = 0
+    bucket, read = [start], 0
+    buckets: dict = {}
+    parked: dict = {}  # priority -> read index of its part-read list
+    keys: list = []
+    edges = 0
     reason = None
-    while frontier:
-        priority, _, cur = heapq.heappop(frontier)
+    while read < len(bucket) or keys:
+        if keys and (read == len(bucket) or keys[0] < priority):
+            if read < len(bucket):  # a lower priority arrived: park the unread rest
+                buckets[priority], parked[priority] = bucket, read
+                priority = heapq.heapreplace(keys, priority)
+            else:
+                priority = heapq.heappop(keys)
+            bucket, read = buckets.pop(priority), parked.pop(priority, 0)
+        cur = bucket[read]
+        read += 1
         children, complete = successors(cur)
         if not complete:
             reason = "lcm budget"
@@ -427,8 +450,16 @@ def _search(start, successors, is_target, state_budget, priority=0) -> SearchRes
                     child, st = seen[child]
                     trace.append(st)
                 return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
-            tick += 1
-            heapq.heappush(frontier, (priority + delta, tick, child))
+            if not delta:
+                bucket.append(child)
+                continue
+            p = priority + delta
+            queue = buckets.get(p)
+            if queue is None:
+                buckets[p] = [child]
+                heapq.heappush(keys, p)
+            else:
+                queue.append(child)
     return SearchResult(False, reason is None, (), len(seen), edges, reason)
 
 

@@ -15,7 +15,10 @@ the package but leans on parts of it:
   word-length bound, whose classes it takes from `congruence_class`;
 * `naive_special_neighbors` enumerates special transformations by trying
   every relation factor and every reversing position (`reverse_step`),
-  then sorting: the scan `special_neighbors` replaced.
+  then sorting: the scan `special_neighbors` replaced;
+* `heap_search` is the search engine with its frontier a heap of
+  (priority, tick, state) entries: the loop the bucket queue of
+  `multifraction._search` replaced.
 
 The word generators and the presentations used across the suite live here
 too.
@@ -23,12 +26,14 @@ too.
 
 from __future__ import annotations
 
+import heapq
 import random
 from functools import lru_cache
 from itertools import product
 
 from multifrac import Monoid, MonoidElement, WordStep
 from multifrac.monoid import congruence_class
+from multifrac.multifraction import SearchResult
 from multifrac.presentation import ArtinPresentation
 from multifrac.reversing import reverse_step
 from multifrac.words import SignedWord, free_reduce, invert, parse_signed, signed_of_positive
@@ -294,3 +299,40 @@ def naive_special_neighbors(
     order = {"pos": 0, "neg": 1, "rrev": 2, "lrev": 3}
     out.sort(key=lambda item: (order[item[0].rule], item[0].at, item[0].factor_to))
     return out
+
+
+# -- the search engine with a heap frontier ----------------------------------
+
+def heap_search(start, successors, is_target, state_budget, priority=0) -> SearchResult:
+    """`multifraction._search` with every frontier entry a (priority, tick,
+    state) heap tuple: states leave by (priority, insertion tick)."""
+    if is_target(start):
+        return SearchResult(True, True, (), 1, 0)
+    seen: dict = {start: None}  # state -> (parent state, step), None at the start
+    frontier = [(priority, 0, start)]
+    tick = edges = 0
+    reason = None
+    while frontier:
+        priority, _, cur = heapq.heappop(frontier)
+        children, complete = successors(cur)
+        if not complete:
+            reason = "lcm budget"
+        for delta, step, child in children:
+            if step is None:  # a cap, outranked by "lcm budget"
+                reason = reason or child
+                continue
+            edges += 1
+            if child in seen:
+                continue
+            if len(seen) >= state_budget:
+                return SearchResult(False, False, (), len(seen), edges, "state budget")
+            seen[child] = (cur, step)
+            if is_target(child):
+                trace = []
+                while seen[child] is not None:
+                    child, st = seen[child]
+                    trace.append(st)
+                return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
+            tick += 1
+            heapq.heappush(frontier, (priority + delta, tick, child))
+    return SearchResult(False, reason is None, (), len(seen), edges, reason)

@@ -8,7 +8,15 @@ found trace, an exhausted search and each cap: the state budget, the lcm
 budget (which outranks the depth cap) and the depth cap, plus a
 reduction trace found after an lcm budget had tripped and a split trace
 found after a depth cap had tripped (found, but not complete).
+
+The engine's bucket-queue frontier is checked against the heap it
+replaced (`oracles.heap_search`) on random successor graphs, and a
+counting stand-in for its `heapq` checks that a breadth-first search
+makes no heap operation.
 """
+
+import heapq
+import random
 
 import pytest
 
@@ -21,9 +29,10 @@ from multifrac import (
     search_reduction,
     split_reduces_to_trivial,
 )
+from multifrac import multifraction
 from multifrac.words import parse_signed
 
-from oracles import all_threes, braid_pair
+from oracles import all_threes, braid_pair, heap_search
 
 PRESENTATIONS = {
     "I2(3)": braid_pair(3),
@@ -138,3 +147,62 @@ def test_search_results_do_not_depend_on_earlier_searches(monoids, order):
     # its arguments, never on what the same Monoid settled before
     for search, pres, word, options, expected in GOLDEN[::order]:
         assert _run(monoids[pres], search, word, options) == expected, (search, pres, word, options)
+
+
+class CountingHeapq:
+    """A stand-in for the engine's `heapq` that counts each call."""
+
+    def __init__(self):
+        self.calls = dict.fromkeys(("heappush", "heappop", "heapreplace"), 0)
+
+    def __getattr__(self, name):
+        def counted(*args):
+            self.calls[name] += 1
+            return getattr(heapq, name)(*args)
+        return counted
+
+
+def test_breadth_first_searches_make_no_heap_operation(monoids, monkeypatch):
+    counter = CountingHeapq()
+    monkeypatch.setattr(multifraction, "heapq", counter)
+    for search, pres, word, options, expected in GOLDEN:
+        if search != "split":  # reduction and proph: every delta is 0
+            assert _run(monoids[pres], search, word, options) == expected, (search, word, options)
+    assert counter.calls == {"heappush": 0, "heappop": 0, "heapreplace": 0}
+    # a split search with trims (delta -2) still uses the heap, and keeps its golden row
+    [(_, _, word, options, expected)] = [r for r in GOLDEN if r[:3] == ("split", "I2(3)", "AbBBba")]
+    assert _run(monoids["I2(3)"], "split", word, options) == expected
+    assert counter.calls["heappush"] > 0 and counter.calls["heappop"] > 0
+
+
+def _random_graph(rng):
+    """A successor function over small int states, a target, a state budget
+    and a start priority, drawn from `rng`."""
+    n = rng.randint(2, 40)
+    succ = {}
+    for s in range(n):
+        children, kids = [], []
+        for j in range(rng.randint(0, 5)):
+            # a repeated child, maybe by another delta, or any state
+            kids.append(rng.choice(kids) if kids and rng.random() < 0.2 else rng.randrange(n))
+            children.append((rng.choice((-2, 0, 0, 1, 3)), (s, j), kids[-1]))
+            if rng.random() < 0.1:
+                children.append((0, None, "depth cap"))
+        succ[s] = (children, rng.random() > 0.1)
+    target = rng.randrange(n + n // 2)  # past n: unreachable
+    return succ.__getitem__, target.__eq__, rng.choice((2, 5, 10, 10**6)), rng.randint(-3, 3)
+
+
+def test_bucket_frontier_matches_the_heap_frontier(monkeypatch):
+    counter = CountingHeapq()
+    monkeypatch.setattr(multifraction, "heapq", counter)
+    rng = random.Random(20)
+    endings = set()
+    for _ in range(2000):
+        successors, is_target, budget, priority = _random_graph(rng)
+        got = multifraction._search(0, successors, is_target, budget, priority)
+        assert got == heap_search(0, successors, is_target, budget, priority)
+        endings.add("found" if got.found else got.reason or "exhausted")
+    assert endings == {"found", "exhausted", "state budget", "lcm budget", "depth cap"}
+    # a lower priority arrived while a bucket was only partly read
+    assert counter.calls["heapreplace"] > 0
