@@ -74,10 +74,11 @@ Each element gets a dense id when it is interned, in order of interning,
 the identity 0, and keeps it for the life of its Monoid, so every search
 on a Monoid encodes states the same way (multifraction._CompactStates).
 The lcm cache and the window memos of the reduction and split kernels
-(one per kernel, parity and lcm budget, see `_window_memos`) are `_Memo`s:
-two generations of at most MEMO_CAP entries each.  New entries go into the
-young one; a full young generation becomes the old one, and an old entry
-that is read again is copied back into the young one.  Every value they
+(one per kernel, parity and lcm budget, see `_window_memos`), the
+reduction kernel's pair rows among them, are `_Memo`s: two generations of
+at most MEMO_CAP entries each.  New entries go into the young one; a full
+young generation becomes the old one, and an old entry that is read again
+is copied back into the young one.  Every value they
 hold is a function of its key, so dropping an old generation costs at
 most a recomputation.  The quotient, key, divisor and complement memos
 and the elements themselves are kept for the life of the Monoid, which
@@ -322,8 +323,10 @@ class Monoid:
         return el
 
     def _window_memos(self, kernel: str, lcm_budget: int) -> tuple[_Memo, _Memo]:
-        """The window memos of a kernel, "reduction" or "split", under this
-        lcm budget, for even and odd positions (multifraction._CompactStates)."""
+        """The window memos of a kernel under this lcm budget, for even and
+        odd positions: "reduction" and "split" (multifraction._CompactStates),
+        and "reduction pairs", the lcm rows of (a_i, a_{i+1}) pairs that the
+        reduction windows are read off (multifraction._ReductionStates)."""
         memos = self._windows.get((kernel, lcm_budget))
         if memos is None:
             memos = self._windows.setdefault((kernel, lcm_budget), (_Memo(), _Memo()))
@@ -460,6 +463,22 @@ class Monoid:
         while True:
             if r is None:  # the sub-run c^-1 t for the frame's next letter t
                 a = letters[taken]
+                # a deletion, taken inline: frames are pushed only when c[0] != t, so no memo holds it
+                if c and c[0] == a:
+                    if steps < left:
+                        c = c[1:]
+                        steps += 1
+                        taken += 1
+                        if taken < n:
+                            continue
+                        r = (v + c, acc, steps, blocked)
+                    else:
+                        r = steps  # it needs 1 > left - steps, so the frame trips
+                    if not frames:
+                        return r
+                    memo[fa][fw] = r
+                    fa, fw, letters, n, taken, v, c, acc, steps, blocked, left = frames.pop()
+                    continue
                 r = memo[a].get(c)
                 if r is None or r.__class__ is int and left - steps > r:
                     t = c[0] if c else a
@@ -467,8 +486,6 @@ class Monoid:
                     if not c:
                         r = (b"", letters[taken:], 0, False)  # the letters left pass through
                         taken = n - 1
-                    elif t == a:
-                        r = (c[1:], b"", 1, False)  # a deletion
                     elif u is None:
                         r = (b"", c[::-1] + _ATOMS[a], 0, True)  # a free pair: blocked in place
                     elif steps >= left:

@@ -21,13 +21,17 @@ bytes of its entries' 4-byte ids, the dense ids their Monoid gives its
 elements (the identity 0).  A step at position i reads and writes only
 a_{i-1}, a_i and a_{i+1}, so a window's children are computed once per
 Monoid and lcm budget, keyed by i's parity and the window's ids, and a
-child is built by bytes slicing (`_ReductionStates`).  Each kernel's
-window memos live on the Monoid, bounded like its lcm cache
-(`monoid._Memo`), so the many small searches of a long-lived Monoid share
-their rows.  One replay, `_CompactStates.steps`, builds the step objects
-of a returned trace, and `_CompactStates.expand` reads a kernel for a
-single state (`_reduction_children`); `Multifraction` objects are built
-only at the API boundary.
+child is built by bytes slicing (`_ReductionStates`).  The lcm of a step
+involves only a_i and a divisor of a_{i+1}, while a_{i-1} is only
+multiplied by a complement, so the lcms are taken once per (a_i, a_{i+1})
+pair, into pair rows of their own, and a window maps them through
+a_{i-1}.  Each kernel's window memos, and the pair rows, live on the
+Monoid, bounded like its lcm cache (`monoid._Memo`), so the many small
+searches of a long-lived Monoid share their rows.  One replay,
+`_CompactStates.steps`, builds the step objects of a returned trace, and
+`_CompactStates.expand` reads a kernel for a single state
+(`_reduction_children`); `Multifraction` objects are built only at the
+API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
 enumeration is budgeted.  A search that had to skip an undetermined lcm
@@ -276,10 +280,25 @@ class _ReductionStates(_CompactStates):
     returned trace only.  The memos are the Monoid's for this lcm budget,
     so every search on the Monoid shares their rows.  The 8-byte i = 1
     windows cannot collide with the 12-byte ones of odd i >= 3.
+
+    At i >= 2 the lcms involve only a_i and the divisors of a_{i+1}, so a
+    window is read off its pair rows: the value of a second memo pair
+    (`_pairs`, the Monoid's "reduction pairs" memos), keyed by i's parity
+    and the 8 bytes of the (a_i, a_{i+1}) ids, whose 12-byte rows hold the
+    ids of comp_a, comp_x and the cofactor, in x order, then the same
+    marker.  After a_{i-1} = 1 the pair value is the window's value itself;
+    otherwise each row's comp_a becomes a_{i-1}*comp_a (even i) or
+    comp_a*a_{i-1} (odd i).  So only a pair miss calls `lcm_data`.  At
+    i = 1, whether x right-divides a_1 takes |x| atom quotients of the
+    mirrored a_1 (`Monoid._quotient`), so no divisor table of a_1 is built.
     """
 
-    __slots__ = ()
+    __slots__ = ("_pairs",)
     kernel = "reduction"
+
+    def __init__(self, monoid: Monoid, lcm_budget: int):
+        super().__init__(monoid, lcm_budget)
+        self._pairs = monoid._window_memos("reduction pairs", lcm_budget)
 
     def children(self, state: bytes) -> tuple[list, bool]:
         """Every (0, (i, replacement), child state), ordered by (i, x), and
@@ -314,16 +333,55 @@ class _ReductionStates(_CompactStates):
 
     def _window(self, i: int, ids) -> bytes:
         """The rule at position i of a state, on its window alone: its memo value."""
-        m, element = self.monoid, self.monoid.element
-        elems = m._by_id
+        m = self.monoid
+        elems, element = m._by_id, m.element
+        if i == 1:
+            # b_1 x = a_1 and b_2 x = a_2: x right-divides a_1 when |x| atom quotients
+            # of the mirrored a_1 succeed, which builds no divisor table of a_1
+            divs, cofactors = m._divisor_table("right", elems[ids[1]])  # divs[0] is 1
+            quotient, mirrored, rows = m._quotient, elems[ids[0]].key[::-1], []
+            for x in divs[1:]:
+                w = mirrored
+                for s in x.key[::-1]:
+                    w = quotient(s, w)
+                    if w is None:
+                        break
+                else:
+                    rows.append(_pack2(element(w[::-1]).id, element(cofactors[x]).id))
+            return b"".join(rows)
+        pairs, key = self._pairs[i & 1], _pack2(ids[i - 1], ids[i])
+        rows = pairs.young.get(key)
+        if rows is None:  # promote the pair's rows from the old generation, or compute them
+            rows = pairs.old.get(key)
+            rows = pairs.put(key, self._pair(i, ids) if rows is None else rows)
+        prev = ids[i - 2]
+        if not prev:
+            return rows  # a_{i-1} = 1, and 1*comp_a = comp_a
+        # each row's comp_a becomes a_{i-1}*comp_a (even i) or comp_a*a_{i-1} (odd i)
+        word, left = elems[prev].key, not i & 1
+        end = len(rows) & ~1  # the rows without the marker
+        out = array("I")
+        out.frombytes(rows[:end])
+        for k in range(0, len(out), 3):
+            comp_a = out[k]
+            if not comp_a:
+                out[k] = prev
+            elif left:
+                out[k] = element(word + elems[comp_a].key).id
+            else:
+                out[k] = element(elems[comp_a].key + word).id
+        return out.tobytes() + rows[end:]
+
+    def _pair(self, i: int, ids) -> bytes:
+        """The lcm rows of a_i and a_{i+1} at a position of i's parity: for
+        each divisor x of a_{i+1} in order whose lcm with a_i exists, the ids
+        of comp_a, comp_x and x's cofactor in a_{i+1}, then `_UNSETTLED`
+        when an lcm ran out of budget.  a_{i-1} takes no part in the lcm."""
+        m = self.monoid
+        elems, element = m._by_id, m.element
         side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
         divs, cofactors = m._divisor_table(side, elems[ids[i]])  # divs[0] is 1
-        if i == 1:
-            first = m._divisor_table("right", elems[ids[0]])[1]
-            return b"".join([_pack2(element(first[x]).id, element(cofactors[x]).id)
-                             for x in divs[1:] if x in first])
-        prev, cur = elems[ids[i - 2]], elems[ids[i - 1]]
-        lcm_data, budget, left = m.lcm_data, self.lcm_budget, side == "left"
+        cur, lcm_data, budget = elems[ids[i - 1]], m.lcm_data, self.lcm_budget
         rows, settled = [], True
         for x in divs[1:]:
             try:
@@ -334,8 +392,7 @@ class _ReductionStates(_CompactStates):
             if data is not None:
                 # even i: x*comp_x = a_i*comp_a = x v a_i; odd i: the left-lcm mirror
                 comp_x, comp_a = data
-                new_prev = element(prev.key + comp_a.key if left else comp_a.key + prev.key)
-                rows.append(_pack3(new_prev.id, comp_x.id, element(cofactors[x]).id))
+                rows.append(_pack3(comp_a.id, comp_x.id, element(cofactors[x]).id))
         if not settled:
             rows.append(_UNSETTLED)
         return b"".join(rows)

@@ -18,7 +18,11 @@ the package but leans on parts of it:
   then sorting: the scan `special_neighbors` replaced;
 * `heap_search` is the search engine with its frontier a heap of
   (priority, tick, state) entries: the loop the bucket queue of
-  `multifraction._search` replaced.
+  `multifraction._search` replaced;
+* `triple_window` computes a reduction window's memo value from the whole
+  triple, one `lcm_data` call per divisor of a_{i+1} and a_1's divisor
+  table at i = 1: the loop the pair rows of
+  `multifraction._ReductionStates` replaced.
 
 The word generators and the presentations used across the suite live here
 too.
@@ -30,10 +34,11 @@ import heapq
 import random
 from functools import lru_cache
 from itertools import product
+from struct import Struct
 
-from multifrac import Monoid, MonoidElement, WordStep
+from multifrac import BudgetExhausted, Monoid, MonoidElement, WordStep
 from multifrac.monoid import congruence_class
-from multifrac.multifraction import SearchResult
+from multifrac.multifraction import _UNSETTLED, SearchResult
 from multifrac.presentation import ArtinPresentation
 from multifrac.reversing import reverse_step
 from multifrac.words import SignedWord, free_reduce, invert, parse_signed, signed_of_positive
@@ -336,3 +341,36 @@ def heap_search(start, successors, is_target, state_budget, priority=0) -> Searc
             tick += 1
             heapq.heappush(frontier, (priority + delta, tick, child))
     return SearchResult(False, reason is None, (), len(seen), edges, reason)
+
+
+# -- a reduction window computed from its whole triple -----------------------
+
+def triple_window(m: Monoid, lcm_budget: int, i: int, ids) -> bytes:
+    """The memo value of the reduction window at position i of a state with
+    entry ids `ids`: one 12-byte (a_{i-1}', comp_x, cofactor) row per divisor
+    x of a_{i+1} in order whose lcm with a_i exists (8-byte (b_1, b_2) rows
+    at i = 1, read off a_1's divisor table), then `_UNSETTLED` when an lcm
+    ran out of budget."""
+    pack2, pack3 = Struct("2I").pack, Struct("3I").pack
+    element, elems = m.element, m._by_id
+    side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
+    divs, cofactors = m._divisor_table(side, elems[ids[i]])  # divs[0] is 1
+    if i == 1:
+        first = m._divisor_table("right", elems[ids[0]])[1]
+        return b"".join([pack2(element(first[x]).id, element(cofactors[x]).id)
+                         for x in divs[1:] if x in first])
+    prev, cur = elems[ids[i - 2]], elems[ids[i - 1]]
+    rows, settled = [], True
+    for x in divs[1:]:
+        try:
+            data = m.lcm_data(lcm_side, x, cur, lcm_budget)
+        except BudgetExhausted:
+            settled = False
+            continue
+        if data is not None:
+            comp_x, comp_a = data
+            new_prev = element(prev.key + comp_a.key if side == "left" else comp_a.key + prev.key)
+            rows.append(pack3(new_prev.id, comp_x.id, element(cofactors[x]).id))
+    if not settled:
+        rows.append(_UNSETTLED)
+    return b"".join(rows)

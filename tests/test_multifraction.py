@@ -9,6 +9,7 @@ from multifrac import (
     Multifraction,
     ReductionStep,
     apply_reduction,
+    decide,
     equal_in_group_fc,
     reduces_to_trivial,
     reduction_step_candidates,
@@ -248,6 +249,24 @@ def test_reduction_children_skip_unsettled_lcms():
     assert full_complete and not complete and not want_complete
     assert named(got) == named(want)
     assert 0 < len(got) < len(full)
+
+
+def test_the_first_window_builds_no_divisor_table_of_a_1(monkeypatch):
+    a4 = ArtinPresentation("abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3,
+                                     ("a", "c"): 2, ("a", "d"): 2, ("b", "d"): 2})
+    mon = Monoid(a4)
+    cube = mon.element("abacbadcba" * 3)  # Delta^3, with 79 140 left divisors
+    tables = []
+    table = Monoid._divisor_table
+
+    def spy(self, side, x):
+        tables.append(x)
+        return table(self, side, x)
+
+    monkeypatch.setattr(Monoid, "_divisor_table", spy)
+    verdict = decide(mon, "abacbadcba" * 3 + "A", assume_fc=True, state_budget=10)
+    assert verdict.answer == "nontrivial"
+    assert tables and cube not in tables
 
 
 def test_reduces_to_trivial(a2):

@@ -3,9 +3,13 @@
 Every search on a Monoid encodes its states with the Monoid's element ids,
 and every reduction and split search reads and fills the Monoid's window
 memos (one per kernel, parity and lcm budget) and its lcm cache, which are
-bounded by two generations of at most `monoid.MEMO_CAP` entries each.  What
-one search leaves behind must never change another's result: in any order,
-past the cap, where the memos rotate all the time, and from several threads.
+bounded by two generations of at most `monoid.MEMO_CAP` entries each.  A
+reduction window at i >= 2 is read off the pair rows of its (a_i, a_{i+1}),
+the lcm rows the reduction kernel keeps in memos of their own ("reduction
+pairs"), and each must equal what the triple alone gives
+(`oracles.triple_window`).  What one search leaves behind must never change
+another's result: in any order, past the cap, where the memos rotate all
+the time, and from several threads.
 """
 
 import random
@@ -17,10 +21,11 @@ import pytest
 
 from multifrac import ArtinPresentation, Monoid, Multifraction, search_reduction, split_reduces_to_trivial
 from multifrac import monoid as monoid_module
+from multifrac.multifraction import _ReductionStates, _pack2
 from multifrac.split import SplitStep, TrimStep, _SplitStates
 from multifrac.words import parse_signed
 
-from oracles import all_threes, braid_pair, signed_words_up_to
+from oracles import all_threes, braid_pair, signed_words_up_to, triple_window
 
 A3 = ArtinPresentation("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2})
 # the presentations and word lengths of the compact-search differential test
@@ -63,6 +68,68 @@ def test_a_shared_monoid_gives_what_fresh_monoids_give(name):
         assert _pinned(_search(shared, case)) == _pinned(_search(Monoid(pres), case)), case
 
 
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_every_reduction_window_matches_its_triple(name, monkeypatch):
+    pres, max_len = PRESENTATIONS[name]
+    windows = []
+    window = _ReductionStates._window
+
+    def spy(self, i, ids):
+        value = window(self, i, ids)
+        windows.append((self.lcm_budget, i, tuple(ids), value))
+        return value
+
+    monkeypatch.setattr(_ReductionStates, "_window", spy)
+    mon = Monoid(pres)
+    for case in _cases(pres, max_len):
+        _search(mon, case)
+    assert {i > 1 and not ids[i - 2] for _, i, ids, _ in windows} == {True, False}
+    assert any(len(value) & 1 for *_, value in windows)  # an lcm ran out of budget
+    for budget, i, ids, value in windows:
+        assert triple_window(mon, budget, i, ids) == value, (budget, i, ids)
+
+
+def _a_b(mon: Monoid, word: str) -> tuple:
+    return tuple(mon.element(w) for w in word.split("/"))
+
+
+@pytest.mark.parametrize("i", (2, 3))
+def test_a_window_after_a_trivial_entry_is_its_pair_value(i):
+    mon = Monoid(braid_pair(3))
+    states = _ReductionStates(mon, 1000)
+    entries = (mon.identity,) * (i - 1) + _a_b(mon, "a/b")
+    ids = memoryview(states.encode(entries)).cast("I")
+    value = states._window(i, ids)
+    assert value and value is states._pairs[i & 1].young[_pack2(ids[i - 1], ids[i])]
+    assert value == triple_window(mon, 1000, i, ids)
+    # after a_{i-1} != 1, the rows are mapped through it
+    entries = entries[:i - 2] + (mon.element("ab"),) + entries[i - 1:]
+    ids = memoryview(states.encode(entries)).cast("I")
+    assert states._window(i, ids) == triple_window(mon, 1000, i, ids) != value
+
+
+@pytest.mark.parametrize("budget", (1, 1000))
+def test_a_window_with_a_known_pair_computes_no_lcm(budget, monkeypatch):
+    mon = Monoid(A3)
+    states = _ReductionStates(mon, budget)
+    a_i, a_next = _a_b(mon, "ab/bc")
+    states.children(states.encode((mon.element("c"), a_i, a_next)))
+    calls = []
+    lcm_data = Monoid.lcm_data
+
+    def spy(self, *args):
+        calls.append(args)
+        return lcm_data(self, *args)
+
+    monkeypatch.setattr(Monoid, "lcm_data", spy)
+    for prev in ("a", "ba", "cc"):
+        ids = memoryview(states.encode((mon.element(prev), a_i, a_next))).cast("I")
+        value = states._window(2, ids)
+        assert not calls, prev
+        assert value == triple_window(mon, budget, 2, ids)
+        calls.clear()  # the oracle's own lcm calls
+
+
 def test_a_repeated_split_search_computes_no_window(monkeypatch):
     mon = Monoid(all_threes())
     a = Multifraction.from_signed_word(mon, parse_signed(mon.presentation, "abaBAB")).pad(1)
@@ -92,11 +159,12 @@ def test_memos_past_a_tiny_cap_keep_elements_and_answers(monkeypatch):
     # the answers under the default cap, each on a fresh Monoid
     want = {(name, case): _pinned(_search(Monoid(presentations[name][0]), case)) for name, case in cases}
 
-    cap, rotations = 4, [0]
+    cap, rotated = 4, set()
     put = monoid_module._Memo.put
 
     def checked_put(memo, key, value):
-        rotations[0] += len(memo.young) >= cap
+        if len(memo.young) >= cap:
+            rotated.add(id(memo))
         out = put(memo, key, value)
         assert len(memo.young) <= cap and len(memo.old) <= cap
         return out
@@ -119,7 +187,12 @@ def test_memos_past_a_tiny_cap_keep_elements_and_answers(monkeypatch):
             # a trace's elements are the very objects the first round returned
             steps = [e for step in res.trace for e in _elements_of(step)]
             assert all(a is b for a, b in zip(first.setdefault((name, case), steps), steps))
-    assert rotations[0] > 0
+    # the lcm caches and every kind of window memo rotated, the reduction pair rows included
+    for mon in monoids.values():
+        assert id(mon._lcm_cache) in rotated
+        kernels = {kernel for (kernel, _), memos in mon._windows.items()
+                   if any(id(memo) in rotated for memo in memos)}
+        assert kernels == {"reduction", "reduction pairs", "split"}, kernels
     for (mon, word), (e, i) in interned.items():
         assert mon.element(word) is e and e.id == i and mon._by_id[i] is e
 
