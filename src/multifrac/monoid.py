@@ -20,10 +20,12 @@ An element is pinned to the lexicographically least word of its class
 under the declared generator order, its key.  All words of a class have
 the same length (the relations are homogeneous), so the key is the least
 atom s that left-divides x followed by the key of s\\x; no class is ever
-enumerated.  `Monoid.element` keeps one memo from every word met to its key
-and one map from each key to its single interned element, so two elements
-are equal exactly when they are the same object, and the divisor and lcm
-caches are keyed by the elements themselves.
+enumerated.  `Monoid.element` keeps one map from every word met to the
+single interned element of its class, so a word met before costs one
+lookup, two elements are equal exactly when they are the same object, and
+the divisor and lcm caches are keyed by the elements themselves.  A word
+met for the first time walks the chain x, s\\x, ... to a word met before,
+and every word on the chain gets the element of its class.
 
 Divisibility, gcd and divisor enumeration share one cached table per
 (side, element): it maps each left- (right-) divisor d to one cofactor
@@ -62,10 +64,10 @@ multiple); the budget stops them.  Sub-runs are memoised per Monoid by
 (t, c): a finished one by its result, an aborted one by the int k, the
 fact that it trips under budget k, which each frame lifts by its own
 steps.  That the complements close a common multiple is checked by
-comparing the keys of the two products, and `lcm` interns the product
-through that key.  The lcm cache is keyed by every argument of `lcm_data`
-(side, both elements and step budget), so no answer depends on what the
-Monoid settled before.
+comparing the elements of the two products, which `lcm` then finds again.
+The lcm cache is keyed by every argument of `lcm_data` (side, both
+elements and step budget), so no answer depends on what the Monoid
+settled before.
 
 `congruence_class` enumerates a class by rewriting.  The package never
 calls it; it stays as the tests' oracle for the kernels above.
@@ -78,11 +80,11 @@ The lcm cache and the window memos of the reduction and split kernels
 reduction kernel's pair rows among them, are `_Memo`s: two generations of
 at most MEMO_CAP entries each.  New entries go into the young one; a full
 young generation becomes the old one, and an old entry that is read again
-is copied back into the young one.  Every value they
-hold is a function of its key, so dropping an old generation costs at
-most a recomputation.  The quotient, key, divisor and complement memos
-and the elements themselves are kept for the life of the Monoid, which
-is what keeps one element, and one id, per key.
+is copied back into the young one (`_Memo.miss`).  Every value they hold
+is a function of its key, so dropping an old generation costs at most a
+recomputation.  The quotient, divisor and complement memos and the map
+from words to elements are kept for the life of the Monoid, which is what
+keeps one element, and one id, per class.
 
 Elements are immutable and operations are pure.  Creating an element
 holds a per-monoid lock, so threads sharing a Monoid still get one element
@@ -115,10 +117,10 @@ MEMO_CAP = 4096
 class _Memo:
     """A memo bounded by two generations of at most MEMO_CAP entries each.
 
-    Read `young`, then `old` on a miss, and hand what `old` held, or what
-    was computed, to `put`.  The generations are plain dicts, so a hit is
-    one `dict.get`.  Values must be functions of their keys: a rotation
-    drops the old generation, which costs only a recomputation.
+    Read `young` inline, and hand a miss to `miss`, which promotes what
+    `old` holds or computes the value.  The generations are plain dicts, so
+    a hit is one `dict.get`.  Values must be functions of their keys: a
+    rotation drops the old generation, which costs only a recomputation.
     """
 
     __slots__ = ("young", "old", "_lock")
@@ -136,6 +138,12 @@ class _Memo:
                 self.old, self.young = self.young, {}
             self.young[key] = value
         return value
+
+    def miss(self, key, compute, *args):
+        """The value of a key missing from `young`: what `old` holds,
+        promoted, or compute(*args), put.  A raise puts nothing."""
+        value = self.old.get(key, _MISS)
+        return self.put(key, compute(*args) if value is _MISS else value)
 
 
 def congruence_class(word: bytes, rules: tuple[tuple[bytes, bytes], ...]) -> frozenset:
@@ -201,7 +209,7 @@ class MonoidElement:
 
 
 class Monoid:
-    """The Artin-Tits monoid of a presentation, with memoised quotients and keys."""
+    """The Artin-Tits monoid of a presentation, with memoised quotients and elements."""
 
     def __init__(self, presentation: ArtinPresentation):
         self.presentation = presentation
@@ -212,8 +220,7 @@ class Monoid:
         self._joins = tuple(tuple(0 if h is None else len(h) + 1 for h in row) for row in self._heads)
         # _quotients[s] = {word w: s\w, or None when s does not left-divide w}
         self._quotients: list[dict[bytes, bytes | None]] = [{} for _ in range(n)]
-        self._keys: dict[bytes, bytes] = {b"": b""}  # every word met -> its key
-        self._elements: dict[bytes, MonoidElement] = {}  # key -> its one element
+        self._classes: dict[bytes, MonoidElement] = {}  # every word met -> the element of its class
         self._by_id: list[MonoidElement] = []  # id -> its element
         self._build_lock = threading.Lock()
         # (side, x) -> (sorted divisors of x, {divisor: cofactor word})
@@ -226,9 +233,9 @@ class Monoid:
         self._lcm_cache = _Memo()
         # (kernel, lcm budget) -> that kernel's window memos, for even and odd positions
         self._windows: dict[tuple[str, int], tuple[_Memo, _Memo]] = {}
-        self.identity = self.element(b"")  # the first element interned: id 0
+        self.identity = self._intern(b"")  # the first element interned: id 0
 
-    # -- quotients, keys and elements --------------------------------------
+    # -- quotients and elements --------------------------------------------
 
     def _quotient(self, s: int, w: bytes) -> bytes | None:
         """s\\w, or None when the atom s does not left-divide w (see the module docstring)."""
@@ -270,12 +277,13 @@ class Monoid:
             else:
                 return q
 
-    def _key(self, w: bytes) -> bytes:
-        """The lex-least word of w's class: the least atom s dividing w, then the key of s\\w."""
-        keys, joins, quotient = self._keys, self._joins, self._quotient
+    def _class(self, w: bytes) -> MonoidElement:
+        """The element of w's class, stored under every word of its chain: its
+        key is the least atom s dividing w, then the key of s\\w's class."""
+        classes, joins, quotient = self._classes, self._joins, self._quotient
         chain = []
-        key = keys.get(w)
-        while key is None:
+        el = classes.get(w)
+        while el is None:
             first, size = w[0], len(w)
             for s in range(first):
                 join = joins[first][s]
@@ -287,10 +295,10 @@ class Monoid:
                 s, q = first, w[1:]
             chain.append((w, s))
             w = q
-            key = keys.get(w)
+            el = classes.get(w)
         for w, s in reversed(chain):
-            key = keys[w] = _ATOMS[s] + key
-        return key
+            el = classes[w] = self._intern(_ATOMS[s] + el.key)
+        return el
 
     def element(self, word) -> MonoidElement:
         """The class of a positive word (string, token iterable, or bytes)."""
@@ -300,26 +308,24 @@ class Monoid:
                     raise ValueError("element belongs to a different monoid")
                 return word
             word = self.presentation.encode(word)
-        key = self._keys.get(word)
-        if key is None:
-            key = self._key(word)
-        el = self._elements.get(key)
+        el = self._classes.get(word)
         if el is None:
-            el = self._intern(key)
+            el = self._class(word)
         return el
 
     def _intern(self, key: bytes) -> MonoidElement:
-        """The element of a key not interned yet: the one place an element is
-        built, and given the next id."""
-        with self._build_lock:
-            el = self._elements.get(key)
-            if el is None:
-                el = MonoidElement(self, key, len(self._by_id))
-                # fill the id table before publishing the element, so that
-                # whoever finds it can look its id up
-                self._by_id.append(el)
-                self._elements[key] = el
-                self._keys[key] = key
+        """The element of a key: the one place an element is built, and
+        given the next id, the first time its key is met."""
+        el = self._classes.get(key)
+        if el is None:
+            with self._build_lock:
+                el = self._classes.get(key)
+                if el is None:
+                    el = MonoidElement(self, key, len(self._by_id))
+                    # fill the id table before publishing the element, so that
+                    # whoever finds it can look its id up
+                    self._by_id.append(el)
+                    self._classes[key] = el
         return el
 
     def _window_memos(self, kernel: str, lcm_budget: int) -> tuple[_Memo, _Memo]:
@@ -363,7 +369,7 @@ class Monoid:
             self._check(x)
             left = side == "left"
             joins, quotient = self._joins, self._quotient
-            keys, key_of, elements = self._keys, self._key, self._elements
+            classes, class_of, intern = self._classes, self._class, self._intern
             cofactors: dict[MonoidElement, bytes] = {self.identity: x.key}
             # (divisor, cofactor, whether divisor.cofactor spells x's key)
             todo = [(self.identity, x.key if left else x.key[::-1], True)]
@@ -380,22 +386,16 @@ class Monoid:
                         continue
                     w = d.key + _ATOMS[s] if left else _ATOMS[s] + d.key
                     on_key = spells_key and s == first
-                    if on_key:
-                        key = w  # a prefix (suffix) of a lex-least word is lex-least
-                    else:
-                        key = keys.get(w)  # element(w), inlined
-                        if key is None:
-                            key = key_of(w)
-                    e = elements.get(key)
-                    if e is None:
-                        e = self._intern(key)
+                    e = classes.get(w)  # element(w), inlined
+                    if e is None:  # on x's key, w is a prefix (suffix) of a lex-least word: a key
+                        e = intern(w) if on_key else class_of(w)
                     if e not in cofactors:
                         cofactors[e] = q if left else q[::-1]
                         todo.append((e, q, on_key))
             # canonical order is by (length, key): sort the keys, then stably by length
             order = sorted(map(_KEY, cofactors))
             order.sort(key=len)
-            table = self._divisors[(side, x)] = (tuple(map(elements.__getitem__, order)), cofactors)
+            table = self._divisors[(side, x)] = (tuple(map(classes.__getitem__, order)), cofactors)
         return table
 
     def divide(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement | None:
@@ -548,26 +548,27 @@ class Monoid:
         `_complement` takes that run's steps on bytes, the left side on
         mirrored words; no run on signed words is started.
 
-        The common multiple is then checked by keys, computed from atom
-        quotients, which share no code with reversing: unless
-        key(x.c_x) = key(y.c_y), StructuralError.  `lcm` reuses that key.
+        The common multiple is then checked by elements, found from atom
+        quotients, which share no code with reversing: unless x.c_x and
+        y.c_y are the same element, StructuralError.  `lcm` finds that
+        element again with one lookup.
 
         Cached by every argument, the budget included, in the bounded
         `_lcm_cache`, so the answer depends on the arguments alone.
-        A budget trip is cached as its message, formatted once because
-        searches re-raise it often.
+        `_lcm` computes a miss; a budget trip is cached as its message,
+        formatted once because searches re-raise it often.
         """
         key = (side, x, y, budget)
         cache = self._lcm_cache
-        hit = cache.young.get(key, _MISS)
-        if hit is _MISS:
-            hit = cache.old.get(key, _MISS)
-            if hit is not _MISS:
-                cache.put(key, hit)
-        if hit is not _MISS:  # a cached key was validated when it was stored
-            if isinstance(hit, str):
-                raise BudgetExhausted(hit, steps=budget)
-            return hit
+        data = cache.young.get(key, _MISS)  # a cached key was validated when it was stored
+        if data is _MISS:
+            data = cache.miss(key, self._lcm, side, x, y, budget)
+        if data.__class__ is str:
+            raise BudgetExhausted(data, steps=budget)
+        return data
+
+    def _lcm(self, side: str, x: MonoidElement, y: MonoidElement, budget: int):
+        """lcm_data's answer, not cached, or the message of its budget trip."""
         self._check(x, y)
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -575,15 +576,13 @@ class Monoid:
         # the left run of x y^-1 is the mirror of the right run of rev(x)^-1 rev(y), step for step
         run = self._complement(x.key if right else x.key[::-1], y.key if right else y.key[::-1], budget)
         if run.__class__ is int:
-            message = cache.put(key, f"{side}-lcm of {x} and {y} undetermined within budget")
-            raise BudgetExhausted(message, steps=budget)
+            return f"{side}-lcm of {x} and {y} undetermined within budget"
         c_y, c_x, _, blocked = run
-        data = None
-        if not blocked:
-            if not right:
-                c_x, c_y = c_x[::-1], c_y[::-1]
-            u, v = (x.key + c_x, y.key + c_y) if right else (c_x + x.key, c_y + y.key)
-            if self._key(u) != self._key(v):
-                raise StructuralError(f"{side}-lcm complements of {x} and {y} close no common multiple")
-            data = self.element(c_x), self.element(c_y)
-        return cache.put(key, data)
+        if blocked:
+            return None
+        if not right:
+            c_x, c_y = c_x[::-1], c_y[::-1]
+        u, v = (x.key + c_x, y.key + c_y) if right else (c_x + x.key, c_y + y.key)
+        if self.element(u) is not self.element(v):
+            raise StructuralError(f"{side}-lcm complements of {x} and {y} close no common multiple")
+        return self.element(c_x), self.element(c_y)

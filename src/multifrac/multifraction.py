@@ -49,7 +49,7 @@ from struct import Struct
 
 from .errors import BudgetExhausted
 from .monoid import Monoid, MonoidElement
-from .words import SignedWord, runs, signed_of_positive
+from .words import SignedWord, check_signed, runs, signed_of_positive
 
 __all__ = [
     "Multifraction",
@@ -137,8 +137,9 @@ class Multifraction:
 
         The first entry is trivial iff the word starts with a negative
         letter; the empty word gives the depth-1 trivial multifraction.
+        PresentationError when a letter is not a generator or its inverse.
         """
-        blocks = runs(word)
+        blocks = runs(check_signed(monoid.presentation, word))
         if not blocks:
             return cls(monoid, (b"",))
         entries: list[bytes] = []
@@ -315,9 +316,8 @@ class _ReductionStates(_CompactStates):
             window = state[lo:hi]
             memo = memos[i & 1]
             rows = memo.young.get(window)
-            if rows is None:  # promote the rows from the old generation, or compute them
-                rows = memo.old.get(window)
-                rows = memo.put(window, self._window(i, ids) if rows is None else rows)
+            if rows is None:
+                rows = memo.miss(window, self._window, i, ids)
             if not rows:
                 continue
             head, tail = state[:lo], state[hi:]
@@ -351,9 +351,8 @@ class _ReductionStates(_CompactStates):
             return b"".join(rows)
         pairs, key = self._pairs[i & 1], _pack2(ids[i - 1], ids[i])
         rows = pairs.young.get(key)
-        if rows is None:  # promote the pair's rows from the old generation, or compute them
-            rows = pairs.old.get(key)
-            rows = pairs.put(key, self._pair(i, ids) if rows is None else rows)
+        if rows is None:
+            rows = pairs.miss(key, self._pair, i, ids)
         prev = ids[i - 2]
         if not prev:
             return rows  # a_{i-1} = 1, and 1*comp_a = comp_a

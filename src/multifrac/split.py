@@ -196,17 +196,15 @@ class _SplitStates(_CompactStates):
                 elif i < last:
                     window = state[lo:lo + 12]
                     merged = memo.young.get(window)
-                    if merged is None:  # promote it from the old generation, or compute it
-                        merged = memo.old.get(window)
-                        merged = memo.put(window, self._trim(i, ids) if merged is None else merged)
+                    if merged is None:
+                        merged = memo.miss(window, self._trim, i, ids)
                     trims.append((-2, (i, merged), state[:lo] + merged + state[lo + 12:]))
                 if not ids[i - 1]:
                     continue
             window = state[lo:lo + 8]
             rows = memo.young.get(window)
             if rows is None:
-                rows = memo.old.get(window)
-                rows = memo.put(window, self._split(i, ids) if rows is None else rows)
+                rows = memo.miss(window, self._split, i, ids)
             if len(rows) & 1:  # the marker: an lcm ran out of budget
                 complete = False
                 rows = rows[:-1]

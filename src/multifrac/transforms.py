@@ -42,6 +42,7 @@ from .words import (
     MAX_BYTE_LETTER,
     SignedWord,
     bytes_of_signed,
+    check_signed,
     invert,
     signed_of_bytes,
     signed_of_positive,
@@ -227,9 +228,10 @@ def search_empty_word(
     an exhausted search then means "not emptiable without growing the
     word", which does *not* by itself decide the word problem.  The search
     runs on byte words, so it raises PresentationError on a presentation
-    with more than 127 generators.
+    with more than 127 generators.  So does a letter that is not a
+    generator or its inverse.
     """
-    word = tuple(word)
+    word = check_signed(monoid.presentation, word)
     children = _children(monoid.presentation, len(word))
     res = _search(bytes_of_signed(word), children, not_, state_budget)
     if res.trace:

@@ -22,6 +22,7 @@ SignedWord = tuple[int, ...]
 __all__ = [
     "SignedWord",
     "parse_signed",
+    "check_signed",
     "signed_str",
     "invert",
     "free_reduce",
@@ -51,6 +52,16 @@ def parse_signed(pres: ArtinPresentation, text: str) -> SignedWord:
         else:
             raise PresentationError(f"bad letter {ch!r} in signed word {text!r}")
     return tuple(out)
+
+
+def check_signed(pres: ArtinPresentation, word) -> SignedWord:
+    """word as a tuple; PresentationError when a letter is 0 or past the last generator."""
+    word = tuple(word)
+    n = len(pres.generators)
+    for x in word:
+        if not x or abs(x) > n:
+            raise PresentationError(f"letter {x!r} of signed word {word!r} is not a generator 1..{n} or its inverse")
+    return word
 
 
 def signed_str(pres: ArtinPresentation, word: SignedWord) -> str:

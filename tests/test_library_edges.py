@@ -12,6 +12,8 @@ from multifrac import (
     Multifraction,
     PresentationError,
     decide,
+    equal_in_group_fc,
+    search_empty_word,
 )
 from multifrac.words import bytes_of_signed, parse_signed, signed_of_bytes, signed_str
 
@@ -63,6 +65,19 @@ def test_decide_accepts_parsed_words():
     mon = Monoid(braid_pair(3))
     w = parse_signed(mon.presentation, "abaBAB")
     assert decide(mon, w).answer == "trivial"
+
+
+@pytest.mark.parametrize("word", [(3,), (0,), (1, -3), (2, 0, 1)])
+@pytest.mark.parametrize("entry", [
+    decide,
+    lambda mon, word: equal_in_group_fc(mon, word, (1,)),
+    search_empty_word,
+], ids=["decide", "equal_in_group_fc", "search_empty_word"])
+def test_signed_letters_must_be_generators(entry, word):
+    # on a 2-generator presentation, 0 and +-3 name no generator: every entry
+    # point that takes a signed word rejects them before it searches
+    with pytest.raises(PresentationError):
+        entry(Monoid(braid_pair(3)), word)
 
 
 def test_empty_generator_presentation():

@@ -111,6 +111,8 @@ def test_divisibility_rejects_unknown_side(a2):
             a2.gcd("up", x, y)
         with pytest.raises(ValueError):
             a2.divide("up", x, y)
+        with pytest.raises(ValueError):
+            a2.lcm_data("up", x, y)
 
 
 @pytest.mark.parametrize(
@@ -303,15 +305,16 @@ def test_lcm_data_builds_no_class_of_the_lcm(monkeypatch):
 def test_lcm_check_catches_a_table_that_breaks_a_relation():
     # the complement kernel reads u = ab of the A3 relation a.ba = b.ab as the
     # complement of b; with u corrupted to aa, a.ba and b.aa are different
-    # elements, so their keys differ
+    # elements
     mon = Monoid(A3)
     a, b = mon.element("a"), mon.element("b")
     # the heads are shared by every Monoid of the presentation: corrupt a copy
     heads = [list(row) for row in mon._heads]
     heads[1][0] = b"\0\0"
     mon._heads = heads
-    with pytest.raises(StructuralError):
-        mon.lcm_data("right", a, b)
+    for _ in range(2):  # a failed check leaves nothing cached behind
+        with pytest.raises(StructuralError):
+            mon.lcm_data("right", a, b)
 
 
 def test_lcm_check_needs_no_budget_of_its_own(monkeypatch):
@@ -570,10 +573,11 @@ def test_threads_sharing_a_monoid_intern_one_element_per_class():
     for w in words:
         el = m.element(w)
         assert all(s[w] is el for s in seen)
-    # and one dense id per element, the identity's 0
-    elements = m._elements.values()
+    # and one dense id per element, the identity's 0, each element mapped from its own key
+    elements = set(m._classes.values())
     assert sorted(e.id for e in elements) == list(range(len(elements)))
     assert m.identity.id == 0 and all(m._by_id[e.id] is e for e in elements)
+    assert all(m._classes[e.key] is e for e in elements)
 
 
 # -- the quotient, key and divisor kernels against the rewriting closure -----
@@ -671,6 +675,32 @@ def test_divisor_tables_list_divisors_in_element_order(pres, length):
             divs = m.divisors(side, x)
             assert list(divs) == sorted(divs)
             assert [d.key for d in divs] == sorted((d.key for d in divs), key=lambda k: (len(k), k))
+
+
+@pytest.mark.parametrize(
+    "pres, length",
+    [(braid_pair(3), 5), (A3, 4), (all_threes(), 4), (TWO_FREE_PAIRS, 4)],
+    ids=["I2(3)", "A3", "A2~", "two free pairs"],
+)
+def test_every_word_met_maps_to_the_element_of_its_least_word(pres, length):
+    # element, divisors and lcm_data meet words off the inputs too: the quotient chains
+    # of new words, divisor words and the lcm products that lcm_data checks
+    m = Monoid(pres)
+    n = len(pres.generators)
+    xs = [m.element(bytes(t)) for k in range(length + 1) for t in product(range(n), repeat=k)]
+    for x in xs:
+        for side in ("left", "right"):
+            m.divisors(side, x)
+    for x, y in product(xs[:1 + n + n * n], repeat=2):
+        for side in ("left", "right"):
+            try:
+                m.lcm_data(side, x, y, budget=200)
+            except BudgetExhausted:
+                pass
+    classes = WordClasses(m)
+    assert len(m._classes) > len(set(xs))
+    for w, e in m._classes.items():
+        assert e.key == min(classes.of(w)) and m._classes[e.key] is e
 
 
 def test_a4_delta_squared_and_its_divisor_tables():

@@ -225,7 +225,8 @@ def test_threads_sharing_a_monoid_get_the_sequential_results(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(g == want for g in got)
-    # one dense id per element
-    elements = shared._by_id
-    assert sorted(e.id for e in shared._elements.values()) == list(range(len(elements)))
-    assert all(elements[e.id] is e for e in shared._elements.values())
+    # one dense id per element, each element mapped from its own key
+    elements, classes = shared._by_id, set(shared._classes.values())
+    assert sorted(e.id for e in classes) == list(range(len(elements)))
+    assert all(elements[e.id] is e for e in classes)
+    assert all(shared._classes[e.key] is e for e in classes)
