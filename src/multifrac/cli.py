@@ -19,7 +19,7 @@ import sys
 from .dihedral import Dihedral, padding_bound
 from .errors import BudgetExhausted, PresentationError, StructuralError
 from .monoid import Monoid
-from .multifraction import DEFAULT_LCM_BUDGET, DEFAULT_STATE_BUDGET, Multifraction, _reduction_children
+from .multifraction import DEFAULT_LCM_BUDGET, DEFAULT_STATE_BUDGET, Multifraction, _ReductionStates
 from .presentation import parse_presentation
 from .solver import PaddingStrategy, decide, verdict_json
 from .split import DEFAULT_SPLIT_STATE_BUDGET, split_reduces_to_trivial
@@ -199,17 +199,18 @@ def _dispatch(args) -> int:
         )
 
     if args.command == "reduce":
-        entries = Multifraction.from_signed_word(monoid, parse_signed(pres, args.word)).entries
+        states = _ReductionStates(monoid, DEFAULT_LCM_BUDGET)
+        state = states.encode(Multifraction.from_signed_word(monoid, parse_signed(pres, args.word)).entries)
         steps = 0
         while True:
             # the last state is enumerated too: only that tells whether it is irreducible
-            children, complete = _reduction_children(monoid, entries, DEFAULT_LCM_BUDGET)
+            children, complete = states.children(state)
             if not children or steps >= args.max_steps:
                 break
-            step, entries = children[0]
+            step, state = states.step(state, *children[0][1])
             print(step.json_obj())
             steps += 1
-        a = Multifraction._of(monoid, entries)
+        a = Multifraction._of(monoid, states.decode(state))
         if children:
             print(f"stopped after {steps} steps: {a}")
             return EXIT_UNDETERMINED

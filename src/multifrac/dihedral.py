@@ -81,8 +81,7 @@ class Dihedral:
         self._relation_sides = tuple(
             pres.encode(side) for rel in pres.relations() for side in (rel.lhs, rel.rhs)
         )
-        # both keyed by the (num, den) elements of the right form
-        self._forms_cache: dict[tuple, tuple[FractionPair, FractionPair]] = {}
+        # keyed by the (num, den) elements of the right form
         self._geo_memo: dict[tuple, tuple[int, SignedWord]] = {}
 
     # -- basics -----------------------------------------------------------
@@ -174,15 +173,6 @@ class Dihedral:
 
     # -- geodesics ---------------------------------------------------------
 
-    def _forms(self, w: SignedWord) -> tuple[FractionPair, FractionPair]:
-        right = self.normal_form("right", w)
-        key = (right.num, right.den)
-        hit = self._forms_cache.get(key)
-        if hit is None:
-            hit = (right, self.normal_form("left", w))
-            self._forms_cache[key] = hit
-        return hit
-
     def geodesic_length(self, word) -> int:
         w = free_reduce(self._coerce(word))
         length, _ = self._geodesic(w, len(w))
@@ -211,7 +201,7 @@ class Dihedral:
         candidate letters is exact; candidates that come back above the
         fuel line are upper bounds and can only lose the minimum.
         """
-        fright, fleft = self._forms(w)
+        fright = self.normal_form("right", w)
         if fright.den.is_identity():
             key = fright.num.key
             return len(key), signed_of_positive(key)
@@ -225,7 +215,7 @@ class Dihedral:
         if fuel <= 0:
             return None
         x_pos = self._unique_word(fright, "num")[0]
-        x_neg = self._unique_word(fleft, "num")[-1]
+        x_neg = self._unique_word(self.normal_form("left", w), "num")[-1]
         best: tuple[int, SignedWord] | None = None
         for letter, child in (
             (x_pos + 1, free_reduce((-(x_pos + 1),) + w)),

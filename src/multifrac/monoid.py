@@ -27,10 +27,11 @@ the divisor and lcm caches are keyed by the elements themselves.  A word
 met for the first time walks the chain x, s\\x, ... to a word met before,
 and every word on the chain gets the element of its class.
 
-Divisibility, gcd and divisor enumeration share one cached table per
-(side, element): it maps each left- (right-) divisor d to one cofactor
-word c with d.c = x (c.d = x), found by a search from (1, x) that extends d
-by every atom dividing c.  The cofactor is unique up to the congruence by
+`divide` cancels x from y by |x| atom quotients and builds no table.  gcd
+and divisor enumeration share one cached table per (side, element): it
+maps each left- (right-) divisor d to one cofactor word c with d.c = x
+(c.d = x), found by a search from (1, x) that extends d by every atom
+dividing c.  The cofactor is unique up to the congruence by
 cancellativity.
 
 `lcm_data` returns the two complements of an lcm exactly as the leftmost
@@ -99,7 +100,7 @@ from __future__ import annotations
 import threading
 from operator import attrgetter
 
-from .errors import BudgetExhausted, StructuralError
+from .errors import BudgetExhausted, PresentationError, StructuralError
 from .presentation import ArtinPresentation
 from .reversing import DEFAULT_STEP_BUDGET, relation_heads
 # not called here: kept as monoid.reverse_full, the name perfbench/tracer.py wraps
@@ -310,6 +311,8 @@ class Monoid:
             word = self.presentation.encode(word)
         el = self._classes.get(word)
         if el is None:
+            if word and max(word) >= len(self._heads):
+                raise PresentationError(f"letter {max(word)} of {word!r} is not a generator index")
             el = self._class(word)
         return el
 
@@ -402,11 +405,28 @@ class Monoid:
         """The witness z with y = x*z (side="left") or y = z*x (side="right").
 
         None when x does not divide y; the witness is unique by
-        cancellativity.
+        cancellativity.  x is cancelled from y one atom quotient per letter
+        (`_cancel`), on mirrored words for side="right", so no divisor table
+        is built.
         """
-        self._check(x)
-        cofactor = self._divisor_table(side, y)[1].get(x)
-        return None if cofactor is None else self.element(cofactor)
+        self._check(x, y)
+        left = side == "left"
+        if not left and side != "right":
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        w = self._cancel(x.key, y.key) if left else self._cancel(x.key[::-1], y.key[::-1])
+        if w is None:
+            return None
+        return self.element(w if left else w[::-1])
+
+    def _cancel(self, x: bytes, y: bytes) -> bytes | None:
+        """The word y with x cancelled from its left, one atom quotient per
+        letter of x, or None when x does not left-divide y."""
+        quotient = self._quotient
+        for s in x:
+            y = quotient(s, y)
+            if y is None:
+                break
+        return y
 
     def divisors(self, side: str, x: MonoidElement) -> tuple[MonoidElement, ...]:
         """All left- (right-) divisors of x, including 1 and x, in canonical order."""

@@ -29,9 +29,8 @@ a_{i-1}.  Each kernel's window memos, and the pair rows, live on the
 Monoid, bounded like its lcm cache (`monoid._Memo`), so the many small
 searches of a long-lived Monoid share their rows.  One replay,
 `_CompactStates.steps`, builds the step objects of a returned trace, and
-`_CompactStates.expand` reads a kernel for a single state
-(`_reduction_children`); `Multifraction` objects are built only at the
-API boundary.
+`_CompactStates.expand` reads a kernel for a single state;
+`Multifraction` objects are built only at the API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
 enumeration is budgeted.  A search that had to skip an undetermined lcm
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from struct import Struct
@@ -290,8 +290,9 @@ class _ReductionStates(_CompactStates):
     marker.  After a_{i-1} = 1 the pair value is the window's value itself;
     otherwise each row's comp_a becomes a_{i-1}*comp_a (even i) or
     comp_a*a_{i-1} (odd i).  So only a pair miss calls `lcm_data`.  At
-    i = 1, whether x right-divides a_1 takes |x| atom quotients of the
-    mirrored a_1 (`Monoid._quotient`), so no divisor table of a_1 is built.
+    i = 1, whether x right-divides a_1 is tested as `Monoid.divide` tests
+    it, by atom quotients (`Monoid._cancel`), so no divisor table of a_1 is
+    built.
     """
 
     __slots__ = ("_pairs",)
@@ -336,17 +337,13 @@ class _ReductionStates(_CompactStates):
         m = self.monoid
         elems, element = m._by_id, m.element
         if i == 1:
-            # b_1 x = a_1 and b_2 x = a_2: x right-divides a_1 when |x| atom quotients
-            # of the mirrored a_1 succeed, which builds no divisor table of a_1
+            # b_1 x = a_1 and b_2 x = a_2: x is cancelled from the mirrored a_1 as
+            # `Monoid.divide` does, which builds no divisor table of a_1
             divs, cofactors = m._divisor_table("right", elems[ids[1]])  # divs[0] is 1
-            quotient, mirrored, rows = m._quotient, elems[ids[0]].key[::-1], []
+            cancel, mirrored, rows = m._cancel, elems[ids[0]].key[::-1], []
             for x in divs[1:]:
-                w = mirrored
-                for s in x.key[::-1]:
-                    w = quotient(s, w)
-                    if w is None:
-                        break
-                else:
+                w = cancel(x.key[::-1], mirrored)
+                if w is not None:
                     rows.append(_pack2(element(w[::-1]).id, element(cofactors[x]).id))
             return b"".join(rows)
         pairs, key = self._pairs[i & 1], _pack2(ids[i - 1], ids[i])
@@ -408,18 +405,10 @@ class _ReductionStates(_CompactStates):
         return ReductionStep(i, x), state[:hi - len(rep)] + rep + state[hi:]
 
 
-def _reduction_children(m: Monoid, entries: tuple, lcm_budget: int) -> tuple[list, bool]:
-    """Every (ReductionStep, child entries) of a state, ordered by (i, x),
-    and False when a candidate was skipped because its lcm ran out of
-    budget: the children `apply_reduction` gives, read off the search's
-    kernel, `_ReductionStates`."""
-    return _ReductionStates(m, lcm_budget).expand(entries)
-
-
 def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:
     """All applicable reduction steps, ordered by (i, parameter word), and
     False second when an lcm ran out of budget (the list may be incomplete)."""
-    children, complete = _reduction_children(a.monoid, a.entries, DEFAULT_LCM_BUDGET)
+    children, complete = _ReductionStates(a.monoid, DEFAULT_LCM_BUDGET).expand(a.entries)
     return [step for step, _ in children], complete
 
 
@@ -456,37 +445,26 @@ def _search(start, successors, is_target, state_budget, priority=0) -> SearchRes
     budget" over "lcm budget" over "depth cap"; a found trace carries no
     reason, and its `complete` covers only the caps met before it.
 
-    The frontier is a bucket queue: `bucket` holds the current priority's
-    states in insertion order and `read` indexes the next one to expand;
-    `buckets` maps every other priority that holds states to its list, and
-    the heap `keys` holds exactly those priorities.  A delta-0 child is
-    appended to `bucket`; any other child to its priority's list, whose key
-    is pushed when the list is created.  Before each expansion, a used-up
-    bucket gives way to the lowest key, and a part-read one to a lower key
-    that has arrived (a split trim has delta -2): it is parked uncopied
-    with its read index, and later children of its priority are appended
-    behind its unread rest.  So a breadth-first search makes no heap
-    operation.
+    The frontier is one FIFO per priority (`queues`, with `keys` the heap of
+    their priorities), lowest priority first.
     """
     if is_target(start):
         return SearchResult(True, True, (), 1, 0)
     seen: dict = {start: None}  # state -> (parent state, step), None at the start
-    bucket, read = [start], 0
-    buckets: dict = {}
-    parked: dict = {}  # priority -> read index of its part-read list
-    keys: list = []
+    queue = deque((start,))
+    queues, keys = {priority: queue}, [priority]
     edges = 0
     reason = None
-    while read < len(bucket) or keys:
-        if keys and (read == len(bucket) or keys[0] < priority):
-            if read < len(bucket):  # a lower priority arrived: park the unread rest
-                buckets[priority], parked[priority] = bucket, read
-                priority = heapq.heapreplace(keys, priority)
-            else:
-                priority = heapq.heappop(keys)
-            bucket, read = buckets.pop(priority), parked.pop(priority, 0)
-        cur = bucket[read]
-        read += 1
+    while True:
+        if keys[0] != priority:  # a lower priority arrived, or the current queue was dropped
+            priority = keys[0]
+            queue = queues[priority]
+        if not queue:
+            if len(keys) == 1:
+                break
+            del queues[heapq.heappop(keys)]
+            continue
+        cur = queue.popleft()
         children, complete = successors(cur)
         if not complete:
             reason = "lcm budget"
@@ -507,15 +485,15 @@ def _search(start, successors, is_target, state_budget, priority=0) -> SearchRes
                     trace.append(st)
                 return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
             if not delta:
-                bucket.append(child)
+                queue.append(child)
                 continue
             p = priority + delta
-            queue = buckets.get(p)
-            if queue is None:
-                buckets[p] = [child]
+            other = queues.get(p)
+            if other is None:
+                queues[p] = deque((child,))
                 heapq.heappush(keys, p)
             else:
-                queue.append(child)
+                other.append(child)
     return SearchResult(False, reason is None, (), len(seen), edges, reason)
 
 

@@ -17,8 +17,8 @@ the package but leans on parts of it:
   every relation factor and every reversing position (`reverse_step`),
   then sorting: the scan `special_neighbors` replaced;
 * `heap_search` is the search engine with its frontier a heap of
-  (priority, tick, state) entries: the loop the bucket queue of
-  `multifraction._search` replaced;
+  (priority, tick, state) entries, against which the one FIFO per
+  priority of `multifraction._search` is checked;
 * `triple_window` computes a reduction window's memo value from the whole
   triple, one `lcm_data` call per divisor of a_{i+1} and a_1's divisor
   table at i = 1: the loop the pair rows of

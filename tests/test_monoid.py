@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from multifrac import (ArtinPresentation, BudgetExhausted, Monoid, Multifraction, StructuralError,
-                       kernel_backend, search_reduction)
+from multifrac import (ArtinPresentation, BudgetExhausted, Monoid, Multifraction, PresentationError,
+                       StructuralError, kernel_backend, search_reduction)
 from multifrac import monoid as monoid_module
 from multifrac import reversing
 from multifrac.monoid import MonoidElement, congruence_class
@@ -37,6 +37,16 @@ def test_element_classes(a2):
     assert len(a2.identity) == 0
     # no relation applies to length-2 words when m = 3
     assert class_strings(a2.element("ab")) == {"ab"}
+
+
+@pytest.mark.parametrize("word", [b"\x02", b"\x00\x05", b"\x02\x00"])
+def test_element_rejects_bytes_past_the_last_generator(word):
+    m = Monoid(braid_pair(3))  # generators 0 and 1
+    with pytest.raises(PresentationError):
+        m.element(word)
+    with pytest.raises(PresentationError):
+        Multifraction(m, [word])
+    assert m.element(b"\x01\x00").key == b"\x01\x00"
 
 
 def test_class_matches_string_oracle(a2):
@@ -716,3 +726,20 @@ def test_a4_delta_squared_and_its_divisor_tables():
     # Delta^2 in B5+: 3651 divisors on each side, Delta among them
     assert len(left) == len(right) == 3651
     assert delta in left and delta in right
+
+
+def test_dividing_delta_cubed_builds_no_divisor_table(monkeypatch):
+    # over A4, Delta^3 has 79 140 left divisors; divide cancels by atom quotients
+    a4 = ArtinPresentation("abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3,
+                                     ("a", "c"): 2, ("a", "d"): 2, ("b", "d"): 2})
+    m = Monoid(a4)
+    cube, a, a4th = m.element("abacbadcba" * 3), m.element("a"), m.element("aaaa")
+    tables = []
+    monkeypatch.setattr(Monoid, "_divisor_table", lambda self, side, x: tables.append((side, x)))
+    interned = len(m._by_id)
+    left = m.divide("left", a, cube)
+    assert len(m._by_id) == interned  # and no new element
+    right = m.divide("right", a, cube)
+    assert m.divide("left", a4th, cube) is None and m.divide("right", a4th, cube) is None
+    assert tables == []
+    assert m.multiply(a, left) is cube and m.multiply(right, a) is cube

@@ -15,7 +15,7 @@ from multifrac import (
     reduction_step_candidates,
     search_reduction,
 )
-from multifrac.multifraction import _reduction_children, _search
+from multifrac.multifraction import _ReductionStates, _search
 from multifrac.words import parse_signed
 
 from oracles import (
@@ -187,7 +187,7 @@ def test_reduction_children_match_apply_reduction(pres, max_len):
         for p in (0, 1, 2):
             start = a.pad(p)
             want = _applied_children(start, 1000)
-            assert _reduction_children(mon, start.entries, 1000) == want, (w, p)
+            assert _ReductionStates(mon, 1000).expand(start.entries) == want, (w, p)
             steps, complete = reduction_step_candidates(start)
             assert (steps, complete) == ([s for s, _ in want[0]], want[1])
 
@@ -242,9 +242,9 @@ def test_reduction_children_skip_unsettled_lcms():
         return [(s.i, str(s.x), tuple(map(str, e))) for s, e in children]
 
     a = start()
-    full, full_complete = _reduction_children(a.monoid, a.entries, 1000)
+    full, full_complete = _ReductionStates(a.monoid, 1000).expand(a.entries)
     a = start()
-    got, complete = _reduction_children(a.monoid, a.entries, 1)
+    got, complete = _ReductionStates(a.monoid, 1).expand(a.entries)
     want, want_complete = _applied_children(start(), 1)
     assert full_complete and not complete and not want_complete
     assert named(got) == named(want)

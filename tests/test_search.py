@@ -9,10 +9,10 @@ budget (which outranks the depth cap) and the depth cap, plus a
 reduction trace found after an lcm budget had tripped and a split trace
 found after a depth cap had tripped (found, but not complete).
 
-The engine's bucket-queue frontier is checked against the heap it
-replaced (`oracles.heap_search`) on random successor graphs, and a
-counting stand-in for its `heapq` checks that a breadth-first search
-makes no heap operation.
+The engine's frontier, one FIFO per priority, is checked against a
+frontier of (priority, tick, state) heap entries (`oracles.heap_search`)
+on random successor graphs, and a counting stand-in for its `heapq`
+checks that a breadth-first search makes no heap operation.
 """
 
 import heapq
@@ -172,7 +172,7 @@ def test_breadth_first_searches_make_no_heap_operation(monoids, monkeypatch):
     # a split search with trims (delta -2) still uses the heap, and keeps its golden row
     [(_, _, word, options, expected)] = [r for r in GOLDEN if r[:3] == ("split", "I2(3)", "AbBBba")]
     assert _run(monoids["I2(3)"], "split", word, options) == expected
-    assert counter.calls["heappush"] > 0 and counter.calls["heappop"] > 0
+    assert counter.calls["heappush"] > 0
 
 
 def _random_graph(rng):
@@ -204,5 +204,5 @@ def test_bucket_frontier_matches_the_heap_frontier(monkeypatch):
         assert got == heap_search(0, successors, is_target, budget, priority)
         endings.add("found" if got.found else got.reason or "exhausted")
     assert endings == {"found", "exhausted", "state budget", "lcm budget", "depth cap"}
-    # a lower priority arrived while a bucket was only partly read
-    assert counter.calls["heapreplace"] > 0
+    # priorities were added to the heap and dropped from it
+    assert counter.calls["heappush"] > 0 and counter.calls["heappop"] > 0
