@@ -210,7 +210,7 @@ def _dispatch(args) -> int:
             step, state = states.step(state, *children[0][1])
             print(step.json_obj())
             steps += 1
-        a = Multifraction._of(monoid, states.decode(state))
+        a = Multifraction._of(monoid, states.view(state))
         if children:
             print(f"stopped after {steps} steps: {a}")
             return EXIT_UNDETERMINED

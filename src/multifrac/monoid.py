@@ -27,9 +27,10 @@ the divisor and lcm caches are keyed by the elements themselves.  A word
 met for the first time walks the chain x, s\\x, ... to a word met before,
 and every word on the chain gets the element of its class.
 
-`divide` cancels x from y by |x| atom quotients and builds no table.  gcd
-and divisor enumeration share one cached table per (side, element): it
-maps each left- (right-) divisor d to one cofactor word c with d.c = x
+`divide` cancels x from y by |x| atom quotients and builds no table, and
+gcd cancels each divisor of the shorter element from the longer one the
+same way.  Divisor enumeration keeps one cached table per (side, element):
+it maps each left- (right-) divisor d to one cofactor word c with d.c = x
 (c.d = x), found by a search from (1, x) that extends d by every atom
 dividing c.  The cofactor is unique up to the congruence by
 cancellativity.
@@ -435,15 +436,24 @@ class Monoid:
     def gcd(self, side: str, x: MonoidElement, y: MonoidElement) -> MonoidElement:
         """Greatest common left- (right-) divisor.
 
-        The divisors of the shorter element are tested against the divisor
-        table of the longer one; in a gcd-monoid the maximal-length common
-        divisor is unique, so finding two distinct ones is a structural
-        failure.
+        Each divisor of the shorter element is cancelled from the longer one
+        by atom quotients, as `divide` cancels (on mirrored words for
+        side="right"), so no divisor table of the longer element is built.
+        The prefix (suffix) of a key is a key, so a divisor d = d's (s.d')
+        is cancelled by one quotient from what cancelling d' left.  In a
+        gcd-monoid the maximal-length common divisor is unique, so finding
+        two distinct ones is a structural failure.
         """
         self._check(x, y)
         small, big = (x, y) if len(x.key) <= len(y.key) else (y, x)
-        big_divs = self._divisor_table(side, big)[1]
-        common = [d for d in self.divisors(side, small) if d in big_divs]
+        left, quotient = side == "left", self._quotient
+        divs = self.divisors(side, small)  # by length, so d' comes before d
+        # the longer element with each divisor cancelled from it, or None
+        rests = {b"": big.key if left else big.key[::-1]}
+        for w in map(_KEY, divs[1:]):
+            rest = rests[w[:-1] if left else w[1:]]
+            rests[w] = None if rest is None else quotient(w[-1] if left else w[0], rest)
+        common = [d for d in divs if rests[d.key] is not None]
         best = [d for d in common if len(d.key) == len(common[-1].key)]
         if len(best) != 1:
             raise StructuralError(

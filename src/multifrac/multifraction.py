@@ -27,15 +27,21 @@ multiplied by a complement, so the lcms are taken once per (a_i, a_{i+1})
 pair, into pair rows of their own, and a window maps them through
 a_{i-1}.  Each kernel's window memos, and the pair rows, live on the
 Monoid, bounded like its lcm cache (`monoid._Memo`), so the many small
-searches of a long-lived Monoid share their rows.  One replay,
-`_CompactStates.steps`, builds the step objects of a returned trace, and
-`_CompactStates.expand` reads a kernel for a single state;
-`Multifraction` objects are built only at the API boundary.
+searches of a long-lived Monoid share their rows.
+
+The reduction, split and special-transformation kernels share one
+protocol and one base class, `_Kernel`, beside the engine `_search`:
+`_Kernel.search` is the one front end, `_Kernel.expand` the one
+single-state expansion, and `_Kernel.replay` the one replay.  The replay
+builds the step objects of a found trace and re-applies each by the
+rule's element-level function (here `apply_reduction`), which reads none
+of the kernel's tables, so every trace a search returns has been checked
+step by step; `Multifraction` objects are built only at the API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
-enumeration is budgeted.  A search that had to skip an undetermined lcm
-or ran out of states reports `complete=False`; a found trace is sound
-either way.
+enumeration is budgeted, the replay's included.  A search that had to
+skip an undetermined lcm or ran out of states reports `complete=False`;
+a found trace is sound either way.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from struct import Struct
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, StructuralError
 from .monoid import Monoid, MonoidElement
 from .words import SignedWord, check_signed, runs, signed_of_positive
 
@@ -186,8 +192,8 @@ def apply_reduction(
     """
     i, x = step.i, step.x
     m = a.monoid
-    if x.monoid is not m:
-        raise ValueError("step parameter from a different monoid")
+    if getattr(x, "monoid", None) is not m:
+        raise ValueError(f"step parameter {x!r} is not an element of this monoid")
     if not 1 <= i <= a.depth - 1 or x.is_identity():
         return None
     e = a.entries
@@ -205,6 +211,146 @@ def apply_reduction(
     return Multifraction._of(m, e[: i - 2] + (prev, comp_x, quot) + e[i + 1 :])
 
 
+@dataclass(frozen=True)
+class SearchResult:
+    """Outcome of a bounded reachability search.
+
+    found=True is always sound and comes with a certifying trace.
+    found=False is definitive only when complete=True: the whole reachable
+    set was enumerated with no budget truncation anywhere.
+    """
+
+    found: bool
+    complete: bool
+    trace: tuple = ()
+    states: int = 0
+    steps: int = 0
+    reason: str | None = None
+
+
+def _search(start, successors, is_target, state_budget, priority=0) -> SearchResult:
+    """Budgeted reachability search shared by every rewrite system here.
+
+    States are hashable and are their own dedupe keys.  `successors(state)`
+    returns (children, complete): children is a list of (delta, step,
+    child) in a deterministic order, and complete is False when an lcm ran
+    out of budget while they were enumerated, which the engine records as
+    "lcm budget" before it reads them.  A child (delta, None, reason) marks
+    work a cap skipped at that point of the list ("depth cap" in split
+    reduction).  `priority` is the start's priority and a child's is its
+    parent's plus its delta; states leave the frontier in (priority,
+    insertion) order, so a search whose deltas are all 0 is breadth-first.
+    `steps` counts admitted children before dedupe.  Reasons rank "state
+    budget" over "lcm budget" over "depth cap"; a found trace carries no
+    reason, and its `complete` covers only the caps met before it.
+
+    The frontier is one FIFO per priority (`queues`, with `keys` the heap of
+    their priorities), lowest priority first.
+    """
+    if is_target(start):
+        return SearchResult(True, True, (), 1, 0)
+    seen: dict = {start: None}  # state -> (parent state, step), None at the start
+    queue = deque((start,))
+    queues, keys = {priority: queue}, [priority]
+    edges = 0
+    reason = None
+    while True:
+        if keys[0] != priority:  # a lower priority arrived, or the current queue was dropped
+            priority = keys[0]
+            queue = queues[priority]
+        if not queue:
+            if len(keys) == 1:
+                break
+            del queues[heapq.heappop(keys)]
+            continue
+        cur = queue.popleft()
+        children, complete = successors(cur)
+        if not complete:
+            reason = "lcm budget"
+        for delta, step, child in children:
+            if step is None:  # a cap, outranked by "lcm budget"
+                reason = reason or child
+                continue
+            edges += 1
+            if child in seen:
+                continue
+            if len(seen) >= state_budget:
+                return SearchResult(False, False, (), len(seen), edges, "state budget")
+            seen[child] = (cur, step)
+            if is_target(child):
+                trace = []
+                while seen[child] is not None:
+                    child, st = seen[child]
+                    trace.append(st)
+                return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
+            if not delta:
+                queue.append(child)
+                continue
+            p = priority + delta
+            other = queues.get(p)
+            if other is None:
+                queues[p] = deque((child,))
+                heapq.heappush(keys, p)
+            else:
+                other.append(child)
+    return SearchResult(False, reason is None, (), len(seen), edges, reason)
+
+
+class _Kernel:
+    """One rewrite system's search kernel: the protocol the three searches
+    share, and the code that runs on it.
+
+    A kernel searches on compact states (bytes) and shows each state as a
+    view, the values the rewrite system's own functions take.  It supplies
+      - `children(state)`: the engine's successors (see `_search`), each
+        step recorded as a tuple;
+      - `step(state, *record)`: that record's step object and the child it
+        leads to;
+      - `encode(view)` and `view(state)`: a state from its view and back;
+      - `apply(view, step)`: the step re-applied to the view by the rule's
+        element-level function, which reads none of the kernel's tables, or
+        None when it does not apply.
+    `search` runs the engine and replays a found trace, `replay` checks
+    every step of a trace against `apply`, and `expand` lists one state's
+    steps and children.
+    """
+
+    __slots__ = ()
+
+    def search(self, start: bytes, is_target, state_budget: int, priority: int = 0) -> SearchResult:
+        """`_search` from the state `start`, with its found trace replayed."""
+        res = _search(start, self.children, is_target, state_budget, priority)
+        if res.trace:
+            res = replace(res, trace=self.replay(start, res.trace))
+        return res
+
+    def replay(self, start: bytes, trace) -> tuple:
+        """The step objects of a trace of recorded steps from `start`, each
+        re-applied to the view: StructuralError unless every application
+        gives exactly the kernel's child."""
+        state, view, steps = start, self.view(start), []
+        for n, record in enumerate(trace, 1):
+            step, state = self.step(state, *record)
+            try:
+                applied = self.apply(view, step)
+            except ValueError as exc:
+                raise StructuralError(f"step {n} of a found trace, {step}, does not apply: {exc}") from exc
+            view = self.view(state)
+            if applied != view:
+                raise StructuralError(f"step {n} of a found trace, {step}, does not give the kernel's child")
+            steps.append(step)
+        return tuple(steps)
+
+    def expand(self, view) -> tuple[list, bool]:
+        """Every (step object, child view) of one state, in the kernel's
+        order, and False when a candidate was skipped because its lcm ran
+        out of budget.  The kernel must cap no child of the state."""
+        state = self.encode(view)
+        children, complete = self.children(state)
+        stepped = [self.step(state, *record) for _, record, _ in children]
+        return [(step, self.view(child)) for step, child in stepped], complete
+
+
 # a compact state holds one native unsigned int ("I", 4 bytes) per entry
 _pack2, _pack3 = Struct("2I").pack, Struct("3I").pack
 # a reduction window's memo value, row by row: the replacement, 8 bytes at i = 1
@@ -213,8 +359,8 @@ _UNSETTLED = b"\0"  # the value's trailing marker: an lcm ran out of budget
 _ID = attrgetter("id")
 
 
-class _CompactStates:
-    """One search's compact states.
+class _CompactStates(_Kernel):
+    """One search's compact states, whose views are entry tuples.
 
     A state is the `bytes` of its entries' 4-byte ids, the dense ids their
     Monoid gives its elements (the identity 0), so a child is built, hashed
@@ -225,12 +371,8 @@ class _CompactStates:
     those misses read the Monoid.  A subclass is one rewrite system's
     kernel, named by `kernel`; its memos are the Monoid's for that kernel
     and lcm budget (`Monoid._window_memos`), shared by every search on the
-    Monoid, so no value may depend on the search.
-
-    `children` records each step as (i, rep), rep the bytes it writes into
-    the state; `step(state, i, rep)` gives its step object and the child
-    it leads to, which `steps` replays along a returned trace and `expand`
-    reads for a single state.
+    Monoid, so no value may depend on the search.  `children` records each
+    step as (i, rep), rep the bytes it writes into the state.
     """
 
     __slots__ = ("monoid", "lcm_budget", "_memos")
@@ -243,29 +385,12 @@ class _CompactStates:
     def encode(self, entries) -> bytes:
         return array("I", map(_ID, entries)).tobytes()
 
-    def decode(self, state: bytes) -> tuple:
+    def view(self, state: bytes) -> tuple:
         return tuple(map(self.monoid._by_id.__getitem__, memoryview(state).cast("I")))
 
     def wordlength(self, state: bytes) -> int:
         elems = self.monoid._by_id
         return sum([len(elems[i].key) for i in memoryview(state).cast("I")])
-
-    def steps(self, start: bytes, trace) -> tuple:
-        """The step objects of the kernel's steps from `start`, replayed state by state."""
-        out = []
-        for i, rep in trace:
-            step, start = self.step(start, i, rep)
-            out.append(step)
-        return tuple(out)
-
-    def expand(self, entries) -> tuple[list, bool]:
-        """Every (step object, child entries) of one state, in the kernel's
-        order, and False when a candidate was skipped because its lcm ran
-        out of budget."""
-        state = self.encode(entries)
-        children, complete = self.children(state)
-        replayed = [self.step(state, i, rep) for _, (i, rep), _ in children]
-        return [(step, self.decode(child)) for step, child in replayed], complete
 
 
 class _ReductionStates(_CompactStates):
@@ -404,97 +529,17 @@ class _ReductionStates(_CompactStates):
         hi = 4 * i + 4  # the window ends after a_{i+1} and is as long as rep
         return ReductionStep(i, x), state[:hi - len(rep)] + rep + state[hi:]
 
+    def apply(self, entries: tuple, step: ReductionStep) -> tuple | None:
+        """`apply_reduction` on entries, under the kernel's lcm budget."""
+        b = apply_reduction(Multifraction._of(self.monoid, entries), step, self.lcm_budget)
+        return None if b is None else b.entries
+
 
 def reduction_step_candidates(a: Multifraction) -> tuple[list[ReductionStep], bool]:
     """All applicable reduction steps, ordered by (i, parameter word), and
     False second when an lcm ran out of budget (the list may be incomplete)."""
     children, complete = _ReductionStates(a.monoid, DEFAULT_LCM_BUDGET).expand(a.entries)
     return [step for step, _ in children], complete
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of a bounded reachability search.
-
-    found=True is always sound and comes with a certifying trace.
-    found=False is definitive only when complete=True: the whole reachable
-    set was enumerated with no budget truncation anywhere.
-    """
-
-    found: bool
-    complete: bool
-    trace: tuple = ()
-    states: int = 0
-    steps: int = 0
-    reason: str | None = None
-
-
-def _search(start, successors, is_target, state_budget, priority=0) -> SearchResult:
-    """Budgeted reachability search shared by every rewrite system here.
-
-    States are hashable and are their own dedupe keys.  `successors(state)`
-    returns (children, complete): children is a list of (delta, step,
-    child) in a deterministic order, and complete is False when an lcm ran
-    out of budget while they were enumerated, which the engine records as
-    "lcm budget" before it reads them.  A child (delta, None, reason) marks
-    work a cap skipped at that point of the list ("depth cap" in split
-    reduction).  `priority` is the start's priority and a child's is its
-    parent's plus its delta; states leave the frontier in (priority,
-    insertion) order, so a search whose deltas are all 0 is breadth-first.
-    `steps` counts admitted children before dedupe.  Reasons rank "state
-    budget" over "lcm budget" over "depth cap"; a found trace carries no
-    reason, and its `complete` covers only the caps met before it.
-
-    The frontier is one FIFO per priority (`queues`, with `keys` the heap of
-    their priorities), lowest priority first.
-    """
-    if is_target(start):
-        return SearchResult(True, True, (), 1, 0)
-    seen: dict = {start: None}  # state -> (parent state, step), None at the start
-    queue = deque((start,))
-    queues, keys = {priority: queue}, [priority]
-    edges = 0
-    reason = None
-    while True:
-        if keys[0] != priority:  # a lower priority arrived, or the current queue was dropped
-            priority = keys[0]
-            queue = queues[priority]
-        if not queue:
-            if len(keys) == 1:
-                break
-            del queues[heapq.heappop(keys)]
-            continue
-        cur = queue.popleft()
-        children, complete = successors(cur)
-        if not complete:
-            reason = "lcm budget"
-        for delta, step, child in children:
-            if step is None:  # a cap, outranked by "lcm budget"
-                reason = reason or child
-                continue
-            edges += 1
-            if child in seen:
-                continue
-            if len(seen) >= state_budget:
-                return SearchResult(False, False, (), len(seen), edges, "state budget")
-            seen[child] = (cur, step)
-            if is_target(child):
-                trace = []
-                while seen[child] is not None:
-                    child, st = seen[child]
-                    trace.append(st)
-                return SearchResult(True, reason is None, tuple(reversed(trace)), len(seen), edges)
-            if not delta:
-                queue.append(child)
-                continue
-            p = priority + delta
-            other = queues.get(p)
-            if other is None:
-                queues[p] = deque((child,))
-                heapq.heappush(keys, p)
-            else:
-                other.append(child)
-    return SearchResult(False, reason is None, (), len(seen), edges, reason)
 
 
 def search_reduction(
@@ -512,7 +557,8 @@ def search_reduction(
     entries' ids, and each window's rows are read from the Monoid's window
     memos, which outlive the search.  The engine records each step as
     (i, replacement); `ReductionStep`s are built only for the returned
-    trace, by replaying it.
+    trace, whose replay re-applies each by `apply_reduction` under the lcm
+    budget and raises StructuralError unless it gives the kernel's child.
     """
     states = _ReductionStates(a.monoid, lcm_budget)
     start = states.encode(a.entries)
@@ -521,10 +567,7 @@ def search_reduction(
     else:
         def is_target(state):
             return states.wordlength(state) <= target_wordlength
-    res = _search(start, states.children, is_target, state_budget)
-    if res.trace:
-        res = replace(res, trace=states.steps(start, res.trace))
-    return res
+    return states.search(start, is_target, state_budget)
 
 
 def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:

@@ -23,7 +23,10 @@ and `Monoid.lcm_data`; a child is built by bytes slicing (`_SplitStates`).
 The window memos live on the Monoid beside the reduction kernel's,
 bounded the same way (`monoid._Memo`): a split row stores its unscaled
 word-length growth, so no row depends on the search that computed it.
-`_split_children` reads the same kernel for a single state;
+The kernel follows `multifraction._Kernel`: `split_step_candidates` is
+its single-state expansion, and the replay of a found trace re-applies
+each step by `apply_split_or_trim`, which reads none of the kernel's
+tables, and raises StructuralError unless it gives the kernel's child.
 `Multifraction` objects and steps are built only at the API boundary.
 
 The two `simulate_*` translations implement the constructive equivalence
@@ -35,7 +38,7 @@ pair of trivial entries on the ordinary side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from struct import Struct
 
 from .errors import BudgetExhausted
@@ -47,7 +50,6 @@ from .multifraction import (
     SearchResult,
     _UNSETTLED,
     _CompactStates,
-    _search,
     apply_reduction,
 )
 
@@ -93,8 +95,8 @@ def apply_split(a: Multifraction, step: SplitStep) -> Multifraction | None:
     """Apply one split step; None when its conditions fail."""
     i, x, y = step.i, step.x, step.y
     m = a.monoid
-    if x.monoid is not m or y.monoid is not m:
-        raise ValueError("step parameters from a different monoid")
+    if getattr(x, "monoid", None) is not m or getattr(y, "monoid", None) is not m:
+        raise ValueError(f"step parameters {x!r}, {y!r} are not elements of this monoid")
     if not 1 <= i <= a.depth - 1 or (x.is_identity() and y.is_identity()):
         return None
     side, lcm_side = ("left", "right") if i % 2 == 0 else ("right", "left")
@@ -262,19 +264,17 @@ class _SplitStates(_CompactStates):
         y = m.divide(side, m._by_id[new[0]], m._by_id[entries[i - 1]])
         return SplitStep(i, x, y), state[:lo] + rep + state[lo + 8:]
 
-
-def _split_children(m: Monoid, entries: tuple) -> tuple[list, bool]:
-    """Every (step, child entries) of a state: trims by i, then splits by
-    (i, y, x), and False when a pair was skipped because its lcm ran out of
-    budget: the children `apply_trim` and `apply_split` give, read off the
-    search's kernel, `_SplitStates`, under a cap that every child fits."""
-    return _SplitStates(m, len(entries) + 2, len(entries)).expand(entries)
+    def apply(self, entries: tuple, step) -> tuple | None:
+        """`apply_split_or_trim` on entries."""
+        b = apply_split_or_trim(Multifraction._of(self.monoid, entries), step)
+        return None if b is None else b.entries
 
 
 def split_step_candidates(a: Multifraction) -> tuple[list, bool]:
     """All applicable trim and split steps, trims by i then splits by
-    (i, y, x), and False second when an lcm ran out of budget."""
-    children, complete = _split_children(a.monoid, a.entries)
+    (i, y, x), and False second when an lcm ran out of budget: the kernel's
+    expansion, under a cap that every child fits."""
+    children, complete = _SplitStates(a.monoid, a.depth + 2, a.depth).expand(a.entries)
     return [step for step, _ in children], complete
 
 
@@ -296,7 +296,9 @@ def split_reduces_to_trivial(
     so no state's entries are summed after the start's, and the target is
     the all-zero state.  The engine records (i, merged) for a trim and
     (i, replacement) for a split; `TrimStep`s and `SplitStep`s are built
-    only for the returned trace, by replaying it.
+    only for the returned trace, whose replay re-applies each by
+    `apply_split_or_trim` and raises StructuralError unless it gives the
+    kernel's child.
     """
     if max_depth is None:
         max_depth = 2 * a.depth + 12
@@ -305,10 +307,7 @@ def split_reduces_to_trivial(
     # the target is an all-zero state; no state the search admits is deeper
     # than the cap, or than the start plus two entries per admitted state
     zeros = bytes(4 * min(states.scale, a.depth + 2 * max(state_budget, 0)))
-    res = _search(start, states.children, zeros.startswith, state_budget, states.priority(start))
-    if res.trace:
-        res = replace(res, trace=states.steps(start, res.trace))
-    return res
+    return states.search(start, zeros.startswith, state_budget, states.priority(start))
 
 
 def simulate_reduction_by_splits(a: Multifraction, step: ReductionStep) -> list:

@@ -13,15 +13,17 @@ word's first two letters, gives the one step that can start there: the
 relation factor that begins with those letters or, where the sign
 changes, the reversing-table entry that replaces them, with its
 replacement and its growth.  So one in-order scan of a word's length-2
-factors (the kernel `_children`) finds every step, tries nothing twice
+factors (the kernel `_WordStates`) finds every step, tries nothing twice
 and sorts nothing, and it checks each step's growth against a length cap
 before it builds the child: an equivalence keeps the length, and a
 reversing step swaps two letters for its table entry, so it grows the
 word by at most 2*m - 4 for the largest finite label m.  The kernel
-records a step as (kind, at); `WordStep`s are built only for the returned
-trace, which `search_empty_word` replays on signed tuples before it
-returns it, and `special_neighbors` is the same scan behind signed-tuple
-input and output.  The reachability search always uses the cap
+follows `multifraction._Kernel`, on signed words as its views: it
+records a step as (kind, at), and `WordStep`s are built only for the
+returned trace, whose replay re-applies each step to the signed word by
+`apply_word_step`, which reads no byte table.  `special_neighbors` is the
+kernel's single-state expansion.  Both check the word's letters once, as
+the kernel encodes it.  The reachability search always uses the cap
 len(word), so no word it reaches is longer than its start, the reachable
 set is finite and the search is exhaustive without any budget at desk
 scale.
@@ -29,13 +31,13 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import not_
 
-from .errors import PresentationError, StructuralError
+from .errors import PresentationError
 from .monoid import Monoid
-from .multifraction import DEFAULT_STATE_BUDGET, SearchResult, _search
+from .multifraction import DEFAULT_STATE_BUDGET, SearchResult, _Kernel
 from .presentation import ArtinPresentation
 from .reversing import _tables, reverse_step
 from .words import (
@@ -118,21 +120,36 @@ def _step_table(pres: ArtinPresentation) -> dict[bytes, tuple[int, bytes, int, b
     return table
 
 
-def _children(pres: ArtinPresentation, max_len: int):
-    """The kernel: a word's children under the cap `max_len`.
+class _WordStates(_Kernel):
+    """The special steps on byte words, whose views are signed words, under
+    the length cap `max_len`.
 
-    It maps a byte word to every (0, (kind, at), child word): "pos", then
-    "neg", then "rrev", then "lrev" steps, each kind by position, and True,
-    since special steps never skip work.  A positive (negative) factor
-    matching one side of a relation is always contained in a maximal
-    positive (negative) run, so plain subword search enumerates exactly
-    the one-relation equivalence steps; a two-letter factor is matched by
-    its key alone.
+    `children` maps a byte word to every (0, (kind, at), child word):
+    "pos", then "neg", then "rrev", then "lrev" steps, each kind by
+    position, and True, since special steps never skip work.  A positive
+    (negative) factor matching one side of a relation is always contained
+    in a maximal positive (negative) run, so plain subword search
+    enumerates exactly the one-relation equivalence steps; a two-letter
+    factor is matched by its key alone.  `apply` is `apply_word_step`,
+    which reads no byte table.
     """
-    get = _step_table(pres).get
 
-    def children(word: bytes) -> tuple[list, bool]:
-        room = max_len - len(word)  # the growth the cap allows
+    __slots__ = ("monoid", "max_len", "_get")
+
+    def __init__(self, monoid: Monoid, max_len: int):
+        self.monoid = monoid
+        self.max_len = max_len
+        self._get = _step_table(monoid.presentation).get
+
+    def encode(self, word) -> bytes:
+        """PresentationError when a letter is not a generator or its inverse."""
+        return bytes_of_signed(check_signed(self.monoid.presentation, word))
+
+    def view(self, state: bytes) -> SignedWord:
+        return signed_of_bytes(state)
+
+    def children(self, word: bytes) -> tuple[list, bool]:
+        get, room = self._get, self.max_len - len(word)  # the growth the cap allows
         found: tuple[list, list, list, list] = ([], [], [], [])
         for k in range(len(word) - 1):
             hit = get(word[k : k + 2])
@@ -143,31 +160,29 @@ def _children(pres: ArtinPresentation, max_len: int):
         pos, neg, rrev, lrev = found
         return pos + neg + rrev + lrev, True
 
-    return children
+    def step(self, word: bytes, kind: int, at: int) -> tuple[WordStep, bytes]:
+        """The WordStep of the kernel's (kind, at) on `word`, and its child."""
+        _, fac, n, rep, _ = self._get(word[at : at + 2])
+        child = word[:at] + rep + word[at + n :]
+        if kind > 1:
+            return WordStep(RULES[kind], at), child
+        return WordStep(RULES[kind], at, signed_of_bytes(fac), signed_of_bytes(rep)), child
 
-
-def _word_step(hit: tuple, at: int) -> WordStep:
-    """The WordStep of the table entry `hit` applied at `at`."""
-    kind, fac, _, rep, _ = hit
-    if kind > 1:
-        return WordStep(RULES[kind], at)
-    return WordStep(RULES[kind], at, signed_of_bytes(fac), signed_of_bytes(rep))
+    def apply(self, word: SignedWord, step: WordStep) -> SignedWord:
+        return apply_word_step(self.monoid, word, step)
 
 
 def special_neighbors(monoid: Monoid, word: SignedWord, max_len: int) -> list[tuple[WordStep, SignedWord]]:
     """All single special steps from `word`: "pos", then "neg", then
     "rrev", then "lrev" steps, each kind by position.
 
-    These are the search's children (`_children`) on signed tuples.  Steps
-    whose result would be longer than `max_len` are skipped before they are
-    built; a cap of len(word) + 2*m - 4, with m the largest finite label,
-    skips none.
+    These are the search's children (`_WordStates`) on signed tuples.
+    Steps whose result would be longer than `max_len` are skipped before
+    they are built; a cap of len(word) + 2*m - 4, with m the largest finite
+    label, skips none.  PresentationError when a letter is not a generator
+    or its inverse.
     """
-    pres = monoid.presentation
-    w = bytes_of_signed(word)
-    children, _ = _children(pres, max_len)(w)
-    table = _step_table(pres)
-    return [(_word_step(table[w[at : at + 2]], at), signed_of_bytes(child)) for _, (_, at), child in children]
+    return _WordStates(monoid, max_len).expand(word)[0]
 
 
 def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedWord:
@@ -190,30 +205,6 @@ def apply_word_step(monoid: Monoid, word: SignedWord, step: WordStep) -> SignedW
     raise ValueError(f"unknown rule {step.rule!r}")
 
 
-def _replayed(monoid: Monoid, word: SignedWord, trace: tuple) -> tuple[WordStep, ...]:
-    """The WordSteps of a found trace of (kind, at) steps.
-
-    Each step's factors are read off the byte table along the trace, and
-    each step is re-applied to the signed word by `apply_word_step`, which
-    does not read the byte table; StructuralError unless that replay ends
-    at the empty word.
-    """
-    table, steps = _step_table(monoid.presentation), []
-    cur, w = bytes_of_signed(word), word
-    for _, at in trace:
-        hit = table[cur[at : at + 2]]
-        step = _word_step(hit, at)
-        cur = cur[:at] + hit[3] + cur[at + hit[2] :]
-        try:
-            w = apply_word_step(monoid, w, step)
-        except ValueError as exc:
-            raise StructuralError(f"emptying trace failed to revalidate: {exc}") from exc
-        steps.append(step)
-    if w:
-        raise StructuralError("emptying trace does not end at the empty word")
-    return tuple(steps)
-
-
 def search_empty_word(
     monoid: Monoid,
     word: SignedWord,
@@ -222,8 +213,8 @@ def search_empty_word(
     """Breadth-first search for the empty word under special steps.
 
     found=True certifies that `word` represents 1: the trace is replayed on
-    signed tuples by `apply_word_step` before it is returned, and a trace
-    that does not reach the empty word raises StructuralError.  No step may
+    signed tuples by `apply_word_step` before it is returned, and a step
+    that does not give the kernel's child raises StructuralError.  No step may
     make the word longer than `word`, which keeps the search space finite;
     an exhausted search then means "not emptiable without growing the
     word", which does *not* by itself decide the word problem.  The search
@@ -231,9 +222,6 @@ def search_empty_word(
     with more than 127 generators.  So does a letter that is not a
     generator or its inverse.
     """
-    word = check_signed(monoid.presentation, word)
-    children = _children(monoid.presentation, len(word))
-    res = _search(bytes_of_signed(word), children, not_, state_budget)
-    if res.trace:
-        res = replace(res, trace=_replayed(monoid, word, res.trace))
-    return res
+    word = tuple(word)
+    states = _WordStates(monoid, len(word))
+    return states.search(states.encode(word), not_, state_budget)

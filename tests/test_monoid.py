@@ -743,3 +743,26 @@ def test_dividing_delta_cubed_builds_no_divisor_table(monkeypatch):
     assert m.divide("left", a4th, cube) is None and m.divide("right", a4th, cube) is None
     assert tables == []
     assert m.multiply(a, left) is cube and m.multiply(right, a) is cube
+
+
+def test_gcd_with_delta_cubed_builds_no_divisor_table_of_it(monkeypatch):
+    # over A4, Delta^3 has 79 140 left divisors; gcd cancels each divisor of
+    # the shorter element from it by atom quotients
+    a4 = ArtinPresentation("abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3,
+                                     ("a", "c"): 2, ("a", "d"): 2, ("b", "d"): 2})
+    m = Monoid(a4)
+    cube, ab, dc = m.element("abacbadcba" * 3), m.element("ab"), m.element("dc")
+    tables = []
+    table = Monoid._divisor_table
+
+    def spy(self, side, x):
+        tables.append((side, x))
+        return table(self, side, x)
+
+    monkeypatch.setattr(Monoid, "_divisor_table", spy)
+    assert m.gcd("left", ab, cube) is ab and m.gcd("right", cube, ab) is ab
+    assert m.gcd("left", cube, dc) is dc and m.gcd("right", dc, cube) is dc
+    bd = m.element("bd")
+    assert m.gcd("left", bd, m.element("abacbadcba" * 2 + "a")) is bd
+    assert m.gcd("right", bd, m.element("a")) is m.identity
+    assert all(x is not cube for _, x in tables) and tables

@@ -8,6 +8,7 @@ from multifrac import (
     Monoid,
     Multifraction,
     ReductionStep,
+    StructuralError,
     apply_reduction,
     decide,
     equal_in_group_fc,
@@ -329,3 +330,14 @@ def test_equal_in_group_fc(a2):
     w = parse_signed(p, "aBab")
     assert equal_in_group_fc(a2, w, w)
     assert not equal_in_group_fc(a2, parse_signed(p, "a"), parse_signed(p, "b"))
+
+
+def test_search_reduction_revalidates_its_trace_without_the_kernel(monkeypatch):
+    # pair rows whose ids are all zero claim that every step empties a_i and
+    # a_{i+1}; 1/1/ab/ba is nontrivial, and apply_reduction repeats no such step
+    pair = _ReductionStates._pair
+    monkeypatch.setattr(_ReductionStates, "_pair", lambda self, i, ids: bytes(len(pair(self, i, ids))))
+    mon = Monoid(braid_pair(3))
+    a = Multifraction.from_signed_word(mon, parse_signed(mon.presentation, "abAB")).pad(1)
+    with pytest.raises(StructuralError):
+        search_reduction(a)

@@ -269,6 +269,15 @@ def test_cli_proph_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypat
     assert capsys.readouterr().out == ""
 
 
+def test_cli_split_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypatch, capsys):
+    # abAB is nontrivial; a trim kernel that merges every window into the identity empties it
+    from multifrac.split import _SplitStates
+
+    monkeypatch.setattr(_SplitStates, "_trim", lambda self, i, ids: bytes(4))
+    assert main(["split", "--presentation", a2_file, "abAB"]) == 4
+    assert capsys.readouterr().out == ""
+
+
 QUADRATIC_JSON = {
     ("A2", "abAB"): '{"version":1,"presentation":{"generators":["a","b"],"labels":[["a","b",3]]},'
     '"input":"abAB","padding":18,"answer":"undetermined","trace":[],'

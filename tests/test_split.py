@@ -7,7 +7,9 @@ from multifrac import (
     BudgetExhausted,
     Monoid,
     Multifraction,
+    ReductionStep,
     SplitStep,
+    StructuralError,
     TrimStep,
     apply_reduction,
     apply_split,
@@ -21,7 +23,6 @@ from multifrac import (
 from multifrac.multifraction import _search
 from multifrac.split import (
     DEFAULT_SPLIT_STATE_BUDGET,
-    _split_children,
     _SplitStates,
     apply_split_or_trim,
     split_step_candidates,
@@ -149,6 +150,11 @@ def _applied_children(a):
     return children, complete
 
 
+def _kernel_children(m, entries):
+    """The kernel's expansion of one state, under a cap that every child fits."""
+    return _SplitStates(m, len(entries) + 2, len(entries)).expand(entries)
+
+
 @EVERY_WORD_UP_TO
 def test_split_children_match_apply_split_and_trim(pres, max_len):
     mon = Monoid(pres)
@@ -157,7 +163,7 @@ def test_split_children_match_apply_split_and_trim(pres, max_len):
         for p in (0, 1):
             start = a.pad(p)
             want = _applied_children(start)
-            assert _split_children(mon, start.entries) == want, (w, p)
+            assert _kernel_children(mon, start.entries) == want, (w, p)
             steps, complete = split_step_candidates(start)
             assert (steps, complete) == ([s for s, _ in want[0]], want[1])
 
@@ -252,7 +258,7 @@ def test_compact_split_search_matches_tuple_search_on_lcm_budget_trips(a2t):
 def test_split_children_skip_unsettled_lcms(a2t):
     # abc/cba, the start of abcABC: some lcm there trips the default budget
     a = Multifraction.from_signed_word(a2t, parse_signed(a2t.presentation, "abcABC"))
-    children, complete = _split_children(a2t, a.entries)
+    children, complete = _kernel_children(a2t, a.entries)
     assert not complete and children
     assert (children, complete) == _applied_children(a)
 
@@ -341,3 +347,25 @@ def test_split_found_iff_padded_reduction_found(a2):
             cur = apply_reduction(cur, s)
         assert cur.is_trivial()
         assert any(reduces_to_trivial(a.pad(k)).found for k in range(0, p + 1))
+
+
+def test_split_search_revalidates_its_trace_without_the_kernel(monkeypatch):
+    # abAB is nontrivial in I2(3); a trim kernel that merges every window into
+    # the identity empties it in 4 steps, which apply_trim does not repeat
+    monkeypatch.setattr(_SplitStates, "_trim", lambda self, i, ids: bytes(4))
+    mon = Monoid(braid_pair(3))
+    a = Multifraction.from_signed_word(mon, parse_signed(mon.presentation, "abAB"))
+    with pytest.raises(StructuralError):
+        split_reduces_to_trivial(a)
+
+
+def test_apply_rejects_a_parameter_that_is_not_an_element(a2):
+    # a kernel's replay builds a step from a divide that may give None, which
+    # must fail as a step that does not apply, not as an AttributeError
+    a = mf(a2, "ab", "ba")
+    with pytest.raises(ValueError):
+        apply_reduction(a, ReductionStep(1, None))
+    with pytest.raises(ValueError):
+        apply_split(a, SplitStep(1, None, a2.identity))
+    with pytest.raises(ValueError):
+        apply_split(a, SplitStep(1, a2.identity, None))

@@ -149,6 +149,15 @@ def test_search_revalidates_its_trace_without_the_byte_table(monkeypatch, word, 
         search_empty_word(Monoid(pres), parse_signed(pres, word))
 
 
+@pytest.mark.parametrize("word", [(3,), (1, 3, -1), (0, 1), (1, 2, 1, 5)], ids=str)
+def test_letters_that_are_not_generators_are_rejected(a2, word):
+    # I2(3) has the generators 1 and 2 only
+    with pytest.raises(PresentationError):
+        special_neighbors(a2, word, max_len=len(word) + 2)
+    with pytest.raises(PresentationError):
+        search_empty_word(a2, word)
+
+
 def test_byte_words_hold_127_generators():
     def pres(n):
         return ArtinPresentation([f"g{i}" for i in range(n)], {("g0", "g1"): 3, ("g125", "g126"): 2})
