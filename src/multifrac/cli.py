@@ -19,7 +19,7 @@ import sys
 from .dihedral import Dihedral, padding_bound
 from .errors import BudgetExhausted, PresentationError, StructuralError
 from .monoid import Monoid
-from .multifraction import DEFAULT_LCM_BUDGET, DEFAULT_STATE_BUDGET, Multifraction, _ReductionStates
+from .multifraction import DEFAULT_LCM_BUDGET, DEFAULT_STATE_BUDGET, Multifraction, reduce_greedily
 from .presentation import parse_presentation
 from .solver import PaddingStrategy, decide, verdict_json
 from .split import DEFAULT_SPLIT_STATE_BUDGET, split_reduces_to_trivial
@@ -199,25 +199,17 @@ def _dispatch(args) -> int:
         )
 
     if args.command == "reduce":
-        states = _ReductionStates(monoid, DEFAULT_LCM_BUDGET)
-        state = states.encode(Multifraction.from_signed_word(monoid, parse_signed(pres, args.word)).entries)
-        steps = 0
-        while True:
-            # the last state is enumerated too: only that tells whether it is irreducible
-            children, complete = states.children(state)
-            if not children or steps >= args.max_steps:
-                break
-            step, state = states.step(state, *children[0][1])
-            print(step.json_obj())
-            steps += 1
-        a = Multifraction._of(monoid, states.view(state))
-        if children:
-            print(f"stopped after {steps} steps: {a}")
+        a = Multifraction.from_signed_word(monoid, parse_signed(pres, args.word))
+        trace, last, complete, stopped = reduce_greedily(a, args.max_steps)
+        for line in _trace_lines(trace):
+            print(line)
+        if stopped:
+            print(f"stopped after {len(trace)} steps: {last}")
             return EXIT_UNDETERMINED
         if not complete:
-            print(f"undetermined (lcm budget): {a}")
+            print(f"undetermined (lcm budget): {last}")
             return EXIT_UNDETERMINED
-        print(f"irreducible: {a}")
+        print(f"irreducible: {last}")
         return EXIT_TRIVIAL
 
     if args.command == "split":

@@ -21,9 +21,7 @@ trivial entries" moves that shuttle peeled letters to the left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BudgetExhausted, PresentationError, StructuralError
+from .errors import BudgetExhausted, PresentationError, Record, StructuralError, _set
 from .monoid import Monoid, MonoidElement
 from .multifraction import Multifraction, ReductionStep, apply_reduction
 from .reversing import reverse_full, split_terminal
@@ -44,13 +42,15 @@ def padding_bound(length: int) -> int:
     return 3 * length * (length + 2) // 4
 
 
-@dataclass(frozen=True)
-class FractionPair:
+class FractionPair(Record):
     """A gcd-reduced fraction: a*b^-1 (side="right") or c^-1*d (side="left")."""
 
-    side: str
-    num: MonoidElement
-    den: MonoidElement
+    __slots__ = ("side", "num", "den")
+
+    def __init__(self, side: str, num: MonoidElement, den: MonoidElement):
+        _set(self, "side", side)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __str__(self) -> str:
         if self.side == "right":

@@ -32,11 +32,13 @@ searches of a long-lived Monoid share their rows.
 The reduction, split and special-transformation kernels share one
 protocol and one base class, `_Kernel`, beside the engine `_search`:
 `_Kernel.search` is the one front end, `_Kernel.expand` the one
-single-state expansion, and `_Kernel.replay` the one replay.  The replay
+single-state expansion, `_Kernel.descend` the one greedy descent (here
+`reduce_greedily`), and `_Kernel.replay` the one replay.  The replay
 builds the step objects of a found trace and re-applies each by the
 rule's element-level function (here `apply_reduction`), which reads none
-of the kernel's tables, so every trace a search returns has been checked
-step by step; `Multifraction` objects are built only at the API boundary.
+of the kernel's tables, so every trace a search or descent returns has
+been checked step by step; `Multifraction` objects are built only at the
+API boundary.
 
 Budgets: the search takes a state budget, and every lcm call inside step
 enumeration is budgeted, the replay's included.  A search that had to
@@ -49,11 +51,10 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from struct import Struct
 
-from .errors import BudgetExhausted, StructuralError
+from .errors import BudgetExhausted, Record, StructuralError, _set
 from .monoid import Monoid, MonoidElement
 from .words import SignedWord, check_signed, runs, signed_of_positive
 
@@ -64,6 +65,7 @@ __all__ = [
     "apply_reduction",
     "reduction_step_candidates",
     "search_reduction",
+    "reduce_greedily",
     "reduces_to_trivial",
     "DEFAULT_STATE_BUDGET",
     "DEFAULT_LCM_BUDGET",
@@ -172,12 +174,14 @@ class Multifraction:
         return f"Multifraction({self})"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """Reduction at position i with parameter x (x != 1)."""
 
-    i: int
-    x: MonoidElement
+    __slots__ = ("i", "x")
+
+    def __init__(self, i: int, x: MonoidElement):
+        _set(self, "i", i)
+        _set(self, "x", x)
 
     def json_obj(self) -> dict:
         return {"rule": "R", "i": self.i, "x": str(self.x)}
@@ -211,8 +215,7 @@ def apply_reduction(
     return Multifraction._of(m, e[: i - 2] + (prev, comp_x, quot) + e[i + 1 :])
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of a bounded reachability search.
 
     found=True is always sound and comes with a certifying trace.
@@ -220,12 +223,16 @@ class SearchResult:
     set was enumerated with no budget truncation anywhere.
     """
 
-    found: bool
-    complete: bool
-    trace: tuple = ()
-    states: int = 0
-    steps: int = 0
-    reason: str | None = None
+    __slots__ = ("found", "complete", "trace", "states", "steps", "reason")
+
+    def __init__(self, found: bool, complete: bool, trace: tuple = (), states: int = 0, steps: int = 0,
+                 reason: str | None = None):
+        _set(self, "found", found)
+        _set(self, "complete", complete)
+        _set(self, "trace", trace)
+        _set(self, "states", states)
+        _set(self, "steps", steps)
+        _set(self, "reason", reason)
 
 
 def _search(start, successors, is_target, state_budget, priority=0) -> SearchResult:
@@ -321,7 +328,8 @@ class _Kernel:
         """`_search` from the state `start`, with its found trace replayed."""
         res = _search(start, self.children, is_target, state_budget, priority)
         if res.trace:
-            res = replace(res, trace=self.replay(start, res.trace))
+            res = SearchResult(res.found, res.complete, self.replay(start, res.trace), res.states, res.steps,
+                               res.reason)
         return res
 
     def replay(self, start: bytes, trace) -> tuple:
@@ -340,6 +348,22 @@ class _Kernel:
                 raise StructuralError(f"step {n} of a found trace, {step}, does not give the kernel's child")
             steps.append(step)
         return tuple(steps)
+
+    def descend(self, start: bytes, max_steps: int) -> tuple[tuple, bytes, bool, bool]:
+        """Greedy descent: follow the first child from `start` until a state
+        has none or `max_steps` steps were taken.  Returns the replayed step
+        objects, the last state, whether its expansion was complete, and
+        whether the descent stopped with children left.  The kernel must cap
+        no child of a state it meets."""
+        state, records = start, []
+        while True:
+            # the last state is expanded too: only that tells whether it is irreducible
+            children, complete = self.children(state)
+            if not children or len(records) >= max_steps:
+                break
+            _, record, state = children[0]
+            records.append(record)
+        return self.replay(start, records), state, complete, bool(children)
 
     def expand(self, view) -> tuple[list, bool]:
         """Every (step object, child view) of one state, in the kernel's
@@ -568,6 +592,22 @@ def search_reduction(
         def is_target(state):
             return states.wordlength(state) <= target_wordlength
     return states.search(start, is_target, state_budget)
+
+
+def reduce_greedily(a: Multifraction, max_steps: int) -> tuple[tuple, Multifraction, bool, bool]:
+    """Apply the first reduction step, in (i, x) order, until none applies
+    or `max_steps` steps were taken (`_Kernel.descend`), under the default
+    lcm budget.
+
+    Returns the trace, replayed by `apply_reduction` (StructuralError unless
+    every step gives the kernel's child), the last multifraction, whether
+    its step enumeration was complete, and whether the descent stopped with
+    steps left.  The last multifraction is irreducible only when both the
+    enumeration was complete and no step was left.
+    """
+    states = _ReductionStates(a.monoid, DEFAULT_LCM_BUDGET)
+    trace, state, complete, stopped = states.descend(states.encode(a.entries), max_steps)
+    return trace, Multifraction._of(a.monoid, states.view(state)), complete, stopped
 
 
 def reduces_to_trivial(a: Multifraction, **budgets) -> SearchResult:

@@ -10,9 +10,7 @@ and t, which is what makes subword reversing compute lcms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import PresentationError
+from .errors import PresentationError, Record, _set
 
 __all__ = [
     "ArtinPresentation",
@@ -27,12 +25,14 @@ def alternating_word(s: str, t: str, length: int) -> tuple[str, ...]:
     return tuple(s if k % 2 == 0 else t for k in range(length))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """One defining relation lhs = rhs (two alternating words of equal length)."""
 
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...]
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: tuple[str, ...], rhs: tuple[str, ...]):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 class ArtinPresentation:

@@ -17,10 +17,9 @@ letters by at most 2(m-1), so B steps bound the word at its length plus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExhausted, StructuralError
+from .errors import BudgetExhausted, Record, StructuralError, _set
 from .presentation import ArtinPresentation, alternating_word
 from .words import SignedWord, runs
 
@@ -106,12 +105,14 @@ def reverse_step(
     return word[:position] + rep + word[position + 2 :]
 
 
-@dataclass(frozen=True)
-class ReversalResult:
+class ReversalResult(Record):
     """Terminal word of a completed reversing run and its step count."""
 
-    word: SignedWord
-    steps: int
+    __slots__ = ("word", "steps")
+
+    def __init__(self, word: SignedWord, steps: int):
+        _set(self, "word", word)
+        _set(self, "steps", steps)
 
 
 def reverse_full(

@@ -22,21 +22,19 @@ place the tri-state rule is stated; `equal_in_group_fc` reads its verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .dihedral import padding_bound
 from .monoid import Monoid
 from .multifraction import DEFAULT_LCM_BUDGET, DEFAULT_STATE_BUDGET, Multifraction, reduces_to_trivial
 # not called here: kept as solver.apply_reduction, the name perfbench/tracer.py wraps
 from .multifraction import apply_reduction  # noqa: F401
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, Record, _set
 from .words import SignedWord, invert, parse_signed
 
 __all__ = ["PaddingStrategy", "Verdict", "decide", "equal_in_group_fc", "verdict_json"]
 
 
-@dataclass(frozen=True)
-class PaddingStrategy:
+class PaddingStrategy(Record):
     """How many leading trivial-entry pairs to prepend before searching.
 
     kind "none" pads nothing; "constant" pads a fixed p; "quadratic" pads
@@ -44,8 +42,11 @@ class PaddingStrategy:
     (the bound is stated for even lengths, and more padding never hurts).
     """
 
-    kind: str
-    amount: int = 0
+    __slots__ = ("kind", "amount")
+
+    def __init__(self, kind: str, amount: int = 0):
+        _set(self, "kind", kind)
+        _set(self, "amount", amount)
 
     @staticmethod
     def none() -> "PaddingStrategy":
@@ -72,16 +73,19 @@ class PaddingStrategy:
         raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Tri-state decision with the certifying trace for "trivial"."""
 
-    answer: str  # "trivial" | "nontrivial" | "undetermined"
-    padding: int
-    trace: tuple = ()
-    states: int = 0
-    steps: int = 0
-    reason: str | None = None
+    __slots__ = ("answer", "padding", "trace", "states", "steps", "reason")
+
+    def __init__(self, answer: str, padding: int, trace: tuple = (), states: int = 0, steps: int = 0,
+                 reason: str | None = None):
+        _set(self, "answer", answer)  # "trivial" | "nontrivial" | "undetermined"
+        _set(self, "padding", padding)
+        _set(self, "trace", trace)
+        _set(self, "states", states)
+        _set(self, "steps", steps)
+        _set(self, "reason", reason)
 
 
 def decide(

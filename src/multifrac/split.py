@@ -38,10 +38,9 @@ pair of trivial entries on the ordinary side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from struct import Struct
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, Record, _set
 from .monoid import Monoid, MonoidElement
 from .multifraction import (
     DEFAULT_LCM_BUDGET,
@@ -69,23 +68,27 @@ __all__ = [
 DEFAULT_SPLIT_STATE_BUDGET = 10**5
 
 
-@dataclass(frozen=True)
-class SplitStep:
+class SplitStep(Record):
     """Split at position i, crossing x over the divisor y of a_i."""
 
-    i: int
-    x: MonoidElement
-    y: MonoidElement
+    __slots__ = ("i", "x", "y")
+
+    def __init__(self, i: int, x: MonoidElement, y: MonoidElement):
+        _set(self, "i", i)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def json_obj(self) -> dict:
         return {"rule": "S", "i": self.i, "x": str(self.x), "y": str(self.y)}
 
 
-@dataclass(frozen=True)
-class TrimStep:
+class TrimStep(Record):
     """Merge entries i and i+2 around the trivial entry a_{i+1}."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        _set(self, "i", i)
 
     def json_obj(self) -> dict:
         return {"rule": "T", "i": self.i}

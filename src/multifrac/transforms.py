@@ -31,11 +31,10 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import not_
 
-from .errors import PresentationError
+from .errors import PresentationError, Record, _set
 from .monoid import Monoid
 from .multifraction import DEFAULT_STATE_BUDGET, SearchResult, _Kernel
 from .presentation import ArtinPresentation
@@ -57,14 +56,16 @@ __all__ = ["WordStep", "special_neighbors", "apply_word_step", "search_empty_wor
 RULES = ("pos", "neg", "rrev", "lrev")
 
 
-@dataclass(frozen=True)
-class WordStep:
+class WordStep(Record):
     """One special transformation: rule kind, position, replaced factor."""
 
-    rule: str  # "pos" | "neg" | "rrev" | "lrev"
-    at: int
-    factor_from: SignedWord = ()
-    factor_to: SignedWord = ()
+    __slots__ = ("rule", "at", "factor_from", "factor_to")
+
+    def __init__(self, rule: str, at: int, factor_from: SignedWord = (), factor_to: SignedWord = ()):
+        _set(self, "rule", rule)  # "pos" | "neg" | "rrev" | "lrev"
+        _set(self, "at", at)
+        _set(self, "factor_from", factor_from)
+        _set(self, "factor_to", factor_to)
 
     def json_obj(self, pres: ArtinPresentation | None = None) -> dict:
         obj: dict = {"rule": self.rule, "at": self.at}

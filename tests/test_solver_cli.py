@@ -238,6 +238,11 @@ PROPH_SPLIT_STDOUT = {
         "{'rule': 'R', 'i': 1, 'x': 'a'}\n"
         "irreducible: 1/1\n"
     )),
+    ("reduce", "Aba"): (0, (
+        "{'rule': 'R', 'i': 2, 'x': 'b'}\n"
+        "{'rule': 'R', 'i': 2, 'x': 'a'}\n"
+        "irreducible: ba/b/1\n"
+    )),
     # "irreducible" only when a complete enumeration of the last state found no step
     ("reduce", "abaBAB", "--max-steps", "0"): (2, "stopped after 0 steps: aba/aba\n"),
     ("reduce", "abaBAB", "--max-steps", "1"): (2, (
@@ -266,6 +271,17 @@ def test_cli_proph_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypat
     kind, fac, n, _, _ = table[key]
     monkeypatch.setitem(table, key, (kind, fac, n, b"", -2))
     assert main(["proph", "--presentation", a2_file, "Ab"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_reduce_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypatch, capsys):
+    # pair rows whose ids are all zero claim that every step empties a_i and a_{i+1}:
+    # the descent would end at 1/1/1, where Aba reduces to the irreducible ba/b/1
+    from multifrac.multifraction import _ReductionStates
+
+    pair = _ReductionStates._pair
+    monkeypatch.setattr(_ReductionStates, "_pair", lambda self, i, ids: bytes(len(pair(self, i, ids))))
+    assert main(["reduce", "--presentation", a2_file, "Aba"]) == 4
     assert capsys.readouterr().out == ""
 
 
