@@ -281,11 +281,10 @@ class Dihedral:
         while True:
             if all(c > 0 for c in u) or all(c < 0 for c in u):
                 positive = u[0] > 0
-                pair = (cur.entry(pos), cur.entry(pos + 1))
-                if positive == (side == "right"):
-                    block, bp, partner = pair[0], pos, pair[1]
-                else:
-                    block, bp, partner = pair[1], pos + 1, pair[0]
+                # u's sign is the opposite of the last peeled letter's, or the loop would
+                # have stopped a letter earlier (and v is not single-signed), so the
+                # block is the pair's second entry
+                block, partner = cur.entry(pos + 1), cur.entry(pos)
                 if not partner.is_identity():
                     raise StructuralError("final fraction entry should be trivial")
                 target = last_block + 1 if last_block else (1 if v[0] > 0 else 2)
@@ -293,7 +292,7 @@ class Dihedral:
                     bytes(abs(c) - 1 for c in (u if positive else tuple(reversed(u))))
                 ):
                     raise StructuralError("final block does not spell the geodesic tail")
-                march(bp, block, target)
+                march(pos + 1, block, target)
                 break
             x = u[0]
             want_side = "right" if x > 0 else "left"

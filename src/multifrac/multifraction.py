@@ -150,15 +150,9 @@ class Multifraction:
         blocks = runs(check_signed(monoid.presentation, word))
         if not blocks:
             return cls(monoid, (b"",))
-        entries: list[bytes] = []
-        if blocks[0][0] < 0:
-            entries.append(b"")
-        for sign, pos in blocks:
-            expected = 1 if len(entries) % 2 == 0 else -1
-            if sign != expected:
-                raise AssertionError("runs() produced non-alternating blocks")
-            entries.append(pos)
-        return cls(monoid, entries)
+        # maximal runs alternate in sign, so each fills the next entry
+        first = [b""] if blocks[0][0] < 0 else []
+        return cls(monoid, first + [pos for _, pos in blocks])
 
     def __eq__(self, other) -> bool:
         # identical entries imply the same monoid
@@ -239,17 +233,18 @@ def _search(start, successors, is_target, state_budget, priority=0) -> SearchRes
     """Budgeted reachability search shared by every rewrite system here.
 
     States are hashable and are their own dedupe keys.  `successors(state)`
-    returns (children, complete): children is a list of (delta, step,
-    child) in a deterministic order, and complete is False when an lcm ran
-    out of budget while they were enumerated, which the engine records as
-    "lcm budget" before it reads them.  A child (delta, None, reason) marks
-    work a cap skipped at that point of the list ("depth cap" in split
-    reduction).  `priority` is the start's priority and a child's is its
-    parent's plus its delta; states leave the frontier in (priority,
-    insertion) order, so a search whose deltas are all 0 is breadth-first.
-    `steps` counts admitted children before dedupe.  Reasons rank "state
-    budget" over "lcm budget" over "depth cap"; a found trace carries no
-    reason, and its `complete` covers only the caps met before it.
+    returns (children, why): children is a list of (delta, step, child) in
+    a deterministic order, and why is None, or the reason some work of the
+    state was skipped: "lcm budget" when an lcm ran out of budget while the
+    children were enumerated, "depth cap" when a child deeper than the cap
+    was not built (split reduction), the lcm budget ranked first.  The
+    engine records why before it reads the children.  `priority` is the
+    start's priority and a child's is its parent's plus its delta; states
+    leave the frontier in (priority, insertion) order, so a search whose
+    deltas are all 0 is breadth-first.  `steps` counts admitted children
+    before dedupe.  Reasons rank "state budget" over "lcm budget" over
+    "depth cap"; a found trace carries no reason, and its `complete` covers
+    only the states expanded before it was found.
 
     The frontier is one FIFO per priority (`queues`, with `keys` the heap of
     their priorities), lowest priority first.
@@ -271,13 +266,10 @@ def _search(start, successors, is_target, state_budget, priority=0) -> SearchRes
             del queues[heapq.heappop(keys)]
             continue
         cur = queue.popleft()
-        children, complete = successors(cur)
-        if not complete:
-            reason = "lcm budget"
+        children, why = successors(cur)
+        if why and reason != "lcm budget":  # "lcm budget" outranks "depth cap"
+            reason = why
         for delta, step, child in children:
-            if step is None:  # a cap, outranked by "lcm budget"
-                reason = reason or child
-                continue
             edges += 1
             if child in seen:
                 continue
@@ -310,7 +302,8 @@ class _Kernel:
     A kernel searches on compact states (bytes) and shows each state as a
     view, the values the rewrite system's own functions take.  It supplies
       - `children(state)`: the engine's successors (see `_search`), each
-        step recorded as a tuple;
+        step recorded as a tuple, and the reason, if any, that the kernel
+        skipped some of the state's work;
       - `step(state, *record)`: that record's step object and the child it
         leads to;
       - `encode(view)` and `view(state)`: a state from its view and back;
@@ -342,37 +335,36 @@ class _Kernel:
             try:
                 applied = self.apply(view, step)
             except ValueError as exc:
-                raise StructuralError(f"step {n} of a found trace, {step}, does not apply: {exc}") from exc
+                raise StructuralError(f"step {n} of the trace, {step}, does not apply: {exc}") from exc
             view = self.view(state)
             if applied != view:
-                raise StructuralError(f"step {n} of a found trace, {step}, does not give the kernel's child")
+                raise StructuralError(f"step {n} of the trace, {step}, does not give the kernel's child")
             steps.append(step)
         return tuple(steps)
 
     def descend(self, start: bytes, max_steps: int) -> tuple[tuple, bytes, bool, bool]:
         """Greedy descent: follow the first child from `start` until a state
         has none or `max_steps` steps were taken.  Returns the replayed step
-        objects, the last state, whether its expansion was complete, and
-        whether the descent stopped with children left.  The kernel must cap
-        no child of a state it meets."""
+        objects, the last state, whether its expansion skipped no work, and
+        whether the descent stopped with children left."""
         state, records = start, []
         while True:
             # the last state is expanded too: only that tells whether it is irreducible
-            children, complete = self.children(state)
+            children, why = self.children(state)
             if not children or len(records) >= max_steps:
                 break
             _, record, state = children[0]
             records.append(record)
-        return self.replay(start, records), state, complete, bool(children)
+        return self.replay(start, records), state, why is None, bool(children)
 
     def expand(self, view) -> tuple[list, bool]:
         """Every (step object, child view) of one state, in the kernel's
-        order, and False when a candidate was skipped because its lcm ran
-        out of budget.  The kernel must cap no child of the state."""
+        order, and False when the kernel skipped some of the state's work,
+        a candidate whose lcm ran out of budget or a child past a cap."""
         state = self.encode(view)
-        children, complete = self.children(state)
+        children, why = self.children(state)
         stepped = [self.step(state, *record) for _, record, _ in children]
-        return [(step, self.view(child)) for step, child in stepped], complete
+        return [(step, self.view(child)) for step, child in stepped], why is None
 
 
 # a compact state holds one native unsigned int ("I", 4 bytes) per entry
@@ -451,12 +443,13 @@ class _ReductionStates(_CompactStates):
         super().__init__(monoid, lcm_budget)
         self._pairs = monoid._window_memos("reduction pairs", lcm_budget)
 
-    def children(self, state: bytes) -> tuple[list, bool]:
+    def children(self, state: bytes) -> tuple[list, str | None]:
         """Every (0, (i, replacement), child state), ordered by (i, x), and
-        False when a candidate was skipped because its lcm ran out of
-        budget; every priority delta is 0, so the search is breadth-first."""
+        "lcm budget" when a candidate was skipped because its lcm ran out of
+        budget, else None; every priority delta is 0, so the search is
+        breadth-first."""
         ids = memoryview(state).cast("I")
-        memos, children, complete = self._memos, [], True
+        memos, children, why = self._memos, [], None
         reps_of, reps_at_1 = _reps, _reps_at_1
         # a step at i needs a_{i+1} != 1, so the scan starts at the first nonzero entry
         for i in range(max(1, (len(state) - len(state.lstrip(b"\0"))) >> 2), len(ids)):
@@ -475,11 +468,11 @@ class _ReductionStates(_CompactStates):
                 children.append((0, (i, rows), head + rows + tail))
             else:
                 if len(rows) & 1:  # the marker: an lcm ran out of budget
-                    complete = False
+                    why = "lcm budget"
                     rows = rows[:-1]
                 unpack = reps_of if i > 1 else reps_at_1
                 children += [(0, (i, rep), head + rep + tail) for rep, in unpack(rows)]
-        return children, complete
+        return children, why
 
     def _window(self, i: int, ids) -> bytes:
         """The rule at position i of a state, on its window alone: its memo value."""

@@ -106,9 +106,8 @@ def decide(
     res = reduces_to_trivial(padded, state_budget=state_budget, lcm_budget=lcm_budget)
     if res.found:
         return Verdict("trivial", p, res.trace, res.states, res.steps)
-    wl = a.wordlength
     complete_class = assume_fc or (
-        monoid.presentation.is_sufficiently_large() and p >= padding_bound(wl + wl % 2)
+        monoid.presentation.is_sufficiently_large() and p >= PaddingStrategy.quadratic().padding_for(a)
     )
     if res.complete and complete_class:
         return Verdict("nontrivial", p, (), res.states, res.steps)

@@ -174,21 +174,20 @@ class _SplitStates(_CompactStates):
     def priority(self, state: bytes) -> int:
         return self.wordlength(state) * self.scale + len(state) // 4
 
-    def children(self, state: bytes) -> tuple[list, bool]:
+    def children(self, state: bytes) -> tuple[list, str | None]:
         """Every (priority delta, step, child state), trims by i then splits
-        by (i, y, x), and False when a pair was skipped because its lcm ran
-        out of budget.  A step is (i, merged) for a trim and (i, replacement)
-        for a split.
-
-        A child deeper than the cap is not built: one (0, None, "depth
-        cap") follows the children that are.  Every window is still
-        settled, so that an lcm budget trip at the cap outranks the cap.
+        by (i, y, x), and the reason some of the state's work was skipped:
+        "lcm budget" when a pair's lcm ran out of budget, else "depth cap"
+        when a child deeper than the cap was not built, else None.  A step
+        is (i, merged) for a trim and (i, replacement) for a split.  Every
+        window is settled, also past the cap, so that an lcm budget trip
+        there outranks the cap.
         """
         ids = memoryview(state).cast("I")
-        memos, scale, trims, splits, complete = self._memos, self.scale, [], [], True
+        memos, scale, trims, splits, why = self._memos, self.scale, [], [], None
         # a trim drops two entries and a split adds two, so the state's
         # length says which kinds pass the cap
-        trim_ok, split_ok, capped = len(state) - 8 <= self.cap, len(state) + 8 <= self.cap, False
+        trim_ok, split_ok = len(state) - 8 <= self.cap, len(state) + 8 <= self.cap
         # one pass: a trim at i needs a_{i+1} = 1 and i < depth - 1, and a
         # split at i needs a_i and a_{i+1} not both 1 (the only divisor
         # pair would be (1, 1), which is no step)
@@ -197,7 +196,7 @@ class _SplitStates(_CompactStates):
             lo, memo = 4 * i - 4, memos[i & 1]
             if not ids[i]:
                 if i < last and not trim_ok:
-                    capped = True
+                    why = why or "depth cap"
                 elif i < last:
                     window = state[lo:lo + 12]
                     merged = memo.young.get(window)
@@ -211,16 +210,14 @@ class _SplitStates(_CompactStates):
             if rows is None:
                 rows = memo.miss(window, self._split, i, ids)
             if len(rows) & 1:  # the marker: an lcm ran out of budget
-                complete = False
+                why = "lcm budget"
                 rows = rows[:-1]
             if rows and not split_ok:
-                capped = True
+                why = why or "depth cap"
             elif rows:
                 head, tail = state[:lo], state[lo + 8:]
                 splits += [(growth * scale + 2, (i, rep), head + rep + tail) for rep, growth in _rows(rows)]
-        if capped:
-            trims.append((0, None, "depth cap"))
-        return trims + splits, complete
+        return trims + splits, why
 
     def _trim(self, i: int, ids) -> bytes:
         """The trim at position i of a state, on its window alone: its memo value."""

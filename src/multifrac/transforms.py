@@ -127,7 +127,7 @@ class _WordStates(_Kernel):
 
     `children` maps a byte word to every (0, (kind, at), child word):
     "pos", then "neg", then "rrev", then "lrev" steps, each kind by
-    position, and True, since special steps never skip work.  A positive
+    position, and None, since special steps never skip work.  A positive
     (negative) factor matching one side of a relation is always contained
     in a maximal positive (negative) run, so plain subword search
     enumerates exactly the one-relation equivalence steps; a two-letter
@@ -149,7 +149,7 @@ class _WordStates(_Kernel):
     def view(self, state: bytes) -> SignedWord:
         return signed_of_bytes(state)
 
-    def children(self, word: bytes) -> tuple[list, bool]:
+    def children(self, word: bytes) -> tuple[list, None]:
         get, room = self._get, self.max_len - len(word)  # the growth the cap allows
         found: tuple[list, list, list, list] = ([], [], [], [])
         for k in range(len(word) - 1):
@@ -159,7 +159,7 @@ class _WordStates(_Kernel):
                 if growth <= room and (n == 2 or word.startswith(fac, k)):
                     found[kind].append((0, (kind, k), word[:k] + rep + word[k + n :]))
         pos, neg, rrev, lrev = found
-        return pos + neg + rrev + lrev, True
+        return pos + neg + rrev + lrev, None
 
     def step(self, word: bytes, kind: int, at: int) -> tuple[WordStep, bytes]:
         """The WordStep of the kernel's (kind, at) on `word`, and its child."""

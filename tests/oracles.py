@@ -310,7 +310,10 @@ def naive_special_neighbors(
 
 def heap_search(start, successors, is_target, state_budget, priority=0) -> SearchResult:
     """`multifraction._search` with every frontier entry a (priority, tick,
-    state) heap tuple: states leave by (priority, insertion tick)."""
+    state) heap tuple: states leave by (priority, insertion tick).
+    `successors(state)` returns (children, why), as there: child lists hold
+    only real (delta, step, child) triples, and why, the reason some of the
+    state's work was skipped, is recorded before they are read."""
     if is_target(start):
         return SearchResult(True, True, (), 1, 0)
     seen: dict = {start: None}  # state -> (parent state, step), None at the start
@@ -319,13 +322,10 @@ def heap_search(start, successors, is_target, state_budget, priority=0) -> Searc
     reason = None
     while frontier:
         priority, _, cur = heapq.heappop(frontier)
-        children, complete = successors(cur)
-        if not complete:
-            reason = "lcm budget"
+        children, why = successors(cur)
+        if why and reason != "lcm budget":  # "lcm budget" outranks "depth cap"
+            reason = why
         for delta, step, child in children:
-            if step is None:  # a cap, outranked by "lcm budget"
-                reason = reason or child
-                continue
             edges += 1
             if child in seen:
                 continue

@@ -108,6 +108,12 @@ def test_apply_reduction_examples(a2):
     # inapplicable: trivial parameter or out-of-range position
     assert apply_reduction(mf(a2, "ab", "b"), ReductionStep(1, a2.identity)) is None
     assert apply_reduction(mf(a2, "ab", "b"), ReductionStep(2, e("b"))) is None
+    # inapplicable at i >= 2: b does not left-divide a_3
+    assert apply_reduction(mf(a2, "", "a", "a"), ReductionStep(2, e("b"))) is None
+    # inapplicable at i >= 2 in the free monoid on a, b: x divides a_{i+1}, but x and a_i have no lcm
+    free = Monoid(ArtinPresentation("ab", {}))
+    assert apply_reduction(mf(free, "", "a", "b"), ReductionStep(2, free.element("b"))) is None
+    assert apply_reduction(mf(free, "", "", "a", "b"), ReductionStep(3, free.element("b"))) is None
 
 
 def test_apply_reduction_defining_equations(a2):
@@ -200,7 +206,7 @@ def _tuple_search(a, lcm_budget, state_budget):
 
     def successors(entries):
         children, complete = _applied_children(Multifraction._of(m, entries), lcm_budget)
-        return [(0, s, c) for s, c in children], complete
+        return [(0, s, c) for s, c in children], None if complete else "lcm budget"
 
     return _search(a.entries, successors, lambda e: not any(x.key for x in e), state_budget)
 

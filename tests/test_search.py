@@ -12,7 +12,10 @@ found after a depth cap had tripped (found, but not complete).
 The engine's frontier, one FIFO per priority, is checked against a
 frontier of (priority, tick, state) heap entries (`oracles.heap_search`)
 on random successor graphs, and a counting stand-in for its `heapq`
-checks that a breadth-first search makes no heap operation.
+checks that a breadth-first search makes no heap operation.  A successor
+function returns (children, why), as a kernel's `children` does: each
+random state draws one reason beside its list of real children, None,
+"lcm budget" or "depth cap".
 """
 
 import heapq
@@ -186,9 +189,8 @@ def _random_graph(rng):
             # a repeated child, maybe by another delta, or any state
             kids.append(rng.choice(kids) if kids and rng.random() < 0.2 else rng.randrange(n))
             children.append((rng.choice((-2, 0, 0, 1, 3)), (s, j), kids[-1]))
-            if rng.random() < 0.1:
-                children.append((0, None, "depth cap"))
-        succ[s] = (children, rng.random() > 0.1)
+        # the reason some of the state's work was skipped, if any
+        succ[s] = (children, rng.choice((None,) * 8 + ("lcm budget", "depth cap")))
     target = rng.randrange(n + n // 2)  # past n: unreachable
     return succ.__getitem__, target.__eq__, rng.choice((2, 5, 10, 10**6)), rng.randint(-3, 3)
 

@@ -282,7 +282,10 @@ def test_cli_reduce_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypa
     pair = _ReductionStates._pair
     monkeypatch.setattr(_ReductionStates, "_pair", lambda self, i, ids: bytes(len(pair(self, i, ids))))
     assert main(["reduce", "--presentation", a2_file, "Aba"]) == 4
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("structural error: step 1 of the trace, ReductionStep(i=2, x=<ba>), "
+                   "does not give the kernel's child\n")
 
 
 def test_cli_split_exits_4_when_its_trace_does_not_revalidate(a2_file, monkeypatch, capsys):
@@ -384,7 +387,8 @@ def test_cli_builds_its_parser_once(a2_file, monkeypatch, capsys):
 def test_cli_byte_identical_json(a2_file):
     cmd = [sys.executable, "-m", "multifrac", "solve", "--presentation", a2_file,
            "abaBAB", "--json"]
-    env = {"PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    # nothing else, so that the two runs draw independent hash seeds
+    env = {"PYTHONPATH": str(Path(__file__).parent.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     r1 = subprocess.run(cmd, capture_output=True, env=env, text=True)
     r2 = subprocess.run(cmd, capture_output=True, env=env, text=True)
     assert r1.returncode == 0 and r1.stdout == r2.stdout

@@ -102,6 +102,16 @@ def test_split_requires_nontrivial_pair(a2t):
     assert apply_split(a, SplitStep(1, a2t.identity, a2t.identity)) is None
 
 
+def test_split_conditions_that_fail(a2):
+    # y = b does not right-divide a_1 = a
+    b = a2.element("b")
+    assert apply_split(mf(a2, "a", "b"), SplitStep(1, b, b)) is None
+    # in the free monoid on a, b, x = b and y = a divide their entries but have no left-lcm
+    free = Monoid(ArtinPresentation("ab", {}))
+    a, b = free.element("a"), free.element("b")
+    assert apply_split(mf(free, "a", "b"), SplitStep(1, b, a)) is None
+
+
 def test_trim_examples(a2t):
     e = a2t.element
     assert apply_trim(mf(a2t, "a", "", "b", "c"), TrimStep(1)) == mf(a2t, "ab", "c")
@@ -182,8 +192,10 @@ def _tuple_split_search(a, state_budget, max_depth):
     def successors(entries):
         children, complete = _applied_children(Multifraction._of(m, entries))
         base = priority(entries)
-        return [(priority(c) - base, s, c) if len(c) <= max_depth else (0, None, "depth cap")
-                for s, c in children], complete
+        kept = [(priority(c) - base, s, c) for s, c in children if len(c) <= max_depth]
+        if not complete:
+            return kept, "lcm budget"
+        return kept, "depth cap" if len(kept) < len(children) else None
 
     return _search(a.entries, successors, lambda e: not any(x.key for x in e), state_budget,
                    priority(a.entries))

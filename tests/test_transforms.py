@@ -96,7 +96,7 @@ def _tuple_proph_search(mon, word, state_budget):
     cap = len(word)
 
     def successors(w):
-        return [(0, step, child) for step, child in naive_special_neighbors(mon, w, cap)], True
+        return [(0, step, child) for step, child in naive_special_neighbors(mon, w, cap)], None
 
     return _search(tuple(word), successors, lambda w: not w, state_budget)
 
